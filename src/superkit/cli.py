@@ -93,11 +93,13 @@ def _parse_momentum(text):
         raise argparse.ArgumentTypeError("momentum must be a 4-element JSON list")
     comps = []
     for x in raw:
-        if isinstance(x, list) and len(x) == 2:
-            comps.append(Fraction(int(x[0]), int(x[1])))
-        elif isinstance(x, int):
+        # JSON true/false parse as bool, which is an int subclass: reject them
+        if (isinstance(x, list) and len(x) == 2
+                and all(type(v) is int for v in x) and x[1] != 0):
+            comps.append(Fraction(x[0], x[1]))
+        elif type(x) is int:
             comps.append(Fraction(x))
-        elif isinstance(x, float):
+        elif type(x) is float:
             comps.append(x)
         else:
             raise argparse.ArgumentTypeError(f"bad momentum component {x!r}")

@@ -24,8 +24,8 @@ from .exactnum import QC, as_complex, coerce, conj
 from .grassmann import MONOMIALS, minus_set, mono_mask, plus_set
 from .spin_geometry import (OffOrbit, gamma_lower, minkowski_norm2,
                             momentum_is_exact)
-from .superfourier import (PlaneWaveFn, SuperFunction, apply_D, apply_Dbar,
-                           apply_Dbar2, single_wave)
+from .superfourier import (MomentumKey, PlaneWaveFn, SuperFunction, apply_D,
+                           apply_Dbar, apply_Dbar2, single_wave)
 
 
 class NotChiral(ValueError):
@@ -369,7 +369,8 @@ def wz_solution_dim(p, m):
 def _wz_linear_antilinear(p, m):
     """Split the WZ operator on two-frequency chiral data into its complex
     linear part L and antilinear part A: wz(x) = L x + A conj(x)."""
-    pneg = tuple(-x for x in p)
+    p = MomentumKey(p)
+    pneg = -p
 
     def field(idx, val):
         zero = PlaneWaveFn.zero()

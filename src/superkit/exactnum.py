@@ -1,75 +1,140 @@
 """Exact complex-rational scalars.
 
 Every identity suite in the algebra core runs at zero tolerance, so the
-universal coefficient type must never round.  ``QC`` is a complex number with
-``Fraction`` real and imaginary parts, closed under +, -, *, / (nonzero
-divisor).  Mixing a QC with a float or a python complex silently degrades to
-python ``complex``; the numeric spin-geometry path relies on that.
+universal coefficient type must never round.  ``QC`` stores ``(a + b i) / d``
+as an integer triple ``(a, b, d)`` kept in canonical form: ``d > 0`` and
+``gcd(a, b, d) == 1``.  Every value therefore has exactly one triple, so
+equality compares components and zero is ``(0, 0, 1)``.  Each +, -, *, /
+multiplies out over the product of the denominators and restores canonical
+form with one multi-argument ``math.gcd``; adding an ``int`` needs none.
+``int`` and ``Fraction`` operands enter as numerator/denominator pairs, and
+the read-only ``.re`` and ``.im`` return reduced ``Fraction``s.
+
+QC is closed under +, -, *, / (nonzero divisor).  Mixing a QC with a float or
+a python complex silently degrades to python ``complex``; the numeric
+spin-geometry path relies on that.  Equality with a float or complex is exact,
+and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold ``a`` and
+``b`` exactly, so equal values hash equal.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd, isfinite
 
 _EXACT = (int, Fraction)
 _FLOATY = (float, complex)
+_HASH_MASK = (1 << sys.hash_info.width) - 1
+_HASH_SIGN = 1 << (sys.hash_info.width - 1)
+
+
+def _make(a, b, d):
+    """QC (a + b i) / d from ints with d > 0, reduced to canonical form."""
+    g = gcd(a, b, d)
+    z = object.__new__(QC)
+    if g == 1:
+        z._a, z._b, z._d = a, b, d
+    else:
+        z._a, z._b, z._d = a // g, b // g, d // g
+    return z
+
+
+def _canonical(a, b, d):
+    """QC from a triple that is already canonical."""
+    z = object.__new__(QC)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _triple(x):
+    """(a, b, d) of an exact scalar, or None for anything else."""
+    if isinstance(x, QC):
+        return x._a, x._b, x._d
+    if isinstance(x, _EXACT):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 class QC:
     """Complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if not isinstance(re, _EXACT):
+            re = Fraction(re)
+        if not isinstance(im, _EXACT):
+            im = Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr if dr == di else dr * di // gcd(dr, di)
+        # over the lcm of two reduced denominators the triple is already canonical
+        self._a = re.numerator * (d // dr)
+        self._b = im.numerator * (d // di)
+        self._d = d
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, QC):
-            return QC(self.re + other.re, self.im + other.im)
-        if isinstance(other, _EXACT):
-            return QC(self.re + other, self.im)
-        if isinstance(other, _FLOATY):
-            return complex(self) + other
-        return NotImplemented
+        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
+        if t is None:
+            return complex(self) + other if isinstance(other, _FLOATY) else NotImplemented
+        c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        if f == 1 and not e:
+            return _canonical(a + c * d, b, d)  # gcd(a + c d, b, d) = gcd(a, b, d) = 1
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
+        if t is None:
+            return complex(self) - other if isinstance(other, _FLOATY) else NotImplemented
+        c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        if f == 1 and not e:
+            return _canonical(a - c * d, b, d)  # gcd(a - c d, b, d) = gcd(a, b, d) = 1
+        if d == f:
+            return _make(a - c, b - e, d)
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, QC):
-            return QC(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-        if isinstance(other, _EXACT):
-            return QC(self.re * other, self.im * other)
-        if isinstance(other, _FLOATY):
-            return complex(self) * other
-        return NotImplemented
+        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
+        if t is None:
+            return complex(self) * other if isinstance(other, _FLOATY) else NotImplemented
+        c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _EXACT):
-            other = QC(other)
-        if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by zero QC")
-            return QC((self.re * other.re + self.im * other.im) / d,
-                      (self.im * other.re - self.re * other.im) / d)
-        if isinstance(other, _FLOATY):
-            return complex(self) / other
-        return NotImplemented
+        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
+        if t is None:
+            return complex(self) / other if isinstance(other, _FLOATY) else NotImplemented
+        c, e, f = t
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("division by zero QC")
+        a, b, d = self._a, self._b, self._d
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
         if isinstance(other, _EXACT):
@@ -81,41 +146,47 @@ class QC:
     # -- structure --------------------------------------------------------
 
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     def abs2(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, _EXACT):
-            return self.im == 0 and self.re == other
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         if isinstance(other, _FLOATY):
-            return complex(self) == other
+            other = complex(other)
+            return (isfinite(other.real) and isfinite(other.imag)
+                    and self == QC(other.real, other.imag))
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # CPython's complex hash, so a QC hashes like the complex or Fraction it equals
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) & _HASH_MASK
+        if h & _HASH_SIGN:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        sign = "+" if im >= 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
 ZERO = QC(0)
@@ -139,14 +210,12 @@ def conj(z):
 
 
 def as_complex(z):
-    if isinstance(z, QC):
-        return complex(z)
     return complex(z)
 
 
 def scal_is_zero(z, tol=0.0):
     if isinstance(z, QC):
-        return not z
+        return z._a == 0 and z._b == 0
     if isinstance(z, _EXACT):
         return z == 0
     return abs(z) <= tol
@@ -169,4 +238,5 @@ def to_pairs(z):
     z = coerce(z)
     if not isinstance(z, QC):
         raise TypeError("exact serialization requires exact scalars")
-    return [z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator]
+    re, im = z.re, z.im
+    return [re.numerator, re.denominator, im.numerator, im.denominator]

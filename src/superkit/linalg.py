@@ -1,9 +1,11 @@
 """Dense linear algebra over exact scalars (and a float fallback).
 
-Row reduction is fraction-free-naive Gaussian elimination; fine at the 16-,
-32- and few-hundred-row sizes this package ever sees.  Entries may be QC,
-Fraction, int, or python complex -- anything supporting +, -, *, / and a
-zero test via :func:`superkit.exactnum.scal_is_zero`.
+Row reduction is plain Gauss-Jordan elimination: each pivot row is divided by
+its pivot and cleared from every other row in the entries' own arithmetic
+(exact QC division for exact input), so it is not fraction-free.  That is
+fine at the 16-, 32- and few-hundred-row sizes this package ever sees.
+Entries may be QC, Fraction, int, or python complex -- anything supporting
++, -, *, / and a zero test via :func:`superkit.exactnum.scal_is_zero`.
 """
 
 from __future__ import annotations

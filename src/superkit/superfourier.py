@@ -27,11 +27,34 @@ class GradeMismatch(ValueError):
 
 # -- plane-wave sums ----------------------------------------------------------
 
+class MomentumKey(tuple):
+    """A momentum tuple that computes its hash once.
+
+    It equals the plain tuple and hashes the same, so plain tuples still find
+    its terms; hashing four exact Fractions on every dict operation is what it
+    saves.  ``MomentumKey(k)`` returns ``k`` itself when it already is one.
+    """
+
+    def __new__(cls, q):
+        if type(q) is cls:
+            return q
+        key = tuple.__new__(cls, q)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+    def __neg__(self):
+        return MomentumKey(-x for x in self)
+
+
 class PlaneWaveFn:
     """Finite sum of plane waves sum_q a_q e^{i<q,x>}.
 
     Terms are stored with the frequency sign absorbed into the momentum key,
-    which is the canonical merge of (momentum, sign) pairs.  The same
+    which is the canonical merge of (momentum, sign) pairs; every key is a
+    ``MomentumKey``, so plain-tuple lookups still work.  The same
     container doubles as a finite delta-coefficient sum in momentum space.
     """
 
@@ -43,12 +66,12 @@ class PlaneWaveFn:
             for q, a in terms.items():
                 a = coerce(a)
                 if not scal_is_zero(a):
-                    self.terms[tuple(q)] = a
+                    self.terms[MomentumKey(q)] = a
 
     @classmethod
     def wave(cls, amplitude, momentum, sign=1):
-        q = tuple(momentum) if sign >= 0 else tuple(-x for x in momentum)
-        return cls({q: amplitude})
+        q = MomentumKey(momentum)
+        return cls({q if sign >= 0 else -q: amplitude})
 
     @classmethod
     def zero(cls):
@@ -57,7 +80,8 @@ class PlaneWaveFn:
     def __add__(self, other):
         out = dict(self.terms)
         for q, a in other.terms.items():
-            out[q] = out.get(q, QC(0)) + a
+            prev = out.get(q)
+            out[q] = a if prev is None else prev + a
         return PlaneWaveFn(out)
 
     def __sub__(self, other):
@@ -97,7 +121,7 @@ class PlaneWaveFn:
 
     def conjugate(self):
         """Pointwise complex conjugate: conj(a) at the reflected momentum."""
-        return PlaneWaveFn({tuple(-x for x in q): conj(a) for q, a in self.terms.items()})
+        return PlaneWaveFn({-q: conj(a) for q, a in self.terms.items()})
 
     def box(self):
         """The wave operator: each term times -<q,q>."""
@@ -188,7 +212,7 @@ class SuperFunction:
 
     def at_momentum(self, q):
         """Multivector of coefficients at one momentum key."""
-        q = tuple(q)
+        q = MomentumKey(q)
         return Multivector({m: g.terms[q] for m, g in self.comps.items() if q in g.terms})
 
     def all_momenta(self):

@@ -129,3 +129,19 @@ def test_pipeline_boosted_float_momentum(capsys):
     data = json.loads(out)
     assert all(c["status"] == "pass" for c in data["checks"])
     assert max(c["max_error"] for c in data["checks"]) <= 1e-9
+
+
+def test_momentum_rejects_json_booleans(capsys):
+    # bool is an int subclass, so true/false would otherwise read as 1/0
+    for text in ("[true,0,0,0]", "[1,0,0,false]", "[[1,true],0,0,0]"):
+        assert main(["orbit-classify", "--momentum", text]) == 2, text
+        assert "bad momentum component" in capsys.readouterr().err
+
+
+def test_momentum_pairs_must_be_integer_ratios(capsys):
+    for text in ("[[1,0],0,0,0]", "[[1.5,2],0,0,0]"):
+        code, _ = run(capsys, "orbit-classify", "--momentum", text)
+        assert code == 2, text
+    code, out = run(capsys, "orbit-classify", "--momentum", "[[5,4],[3,4],0,0]", "--json")
+    assert code == 0
+    assert json.loads(out)["orbit"] == "MassivePlus"

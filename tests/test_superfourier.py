@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import rand_momentum, rand_qc, rand_superfunction
 
@@ -8,7 +9,8 @@ from superkit import conventions
 from superkit.exactnum import QC
 from superkit.grassmann import MONOMIALS, Multivector, mono_mask
 from superkit.spin_geometry import gamma_lower
-from superkit.superfourier import (AuxGrassmann, GradeMismatch, PlaneWaveFn,
+from superkit.superfourier import (AuxGrassmann, GradeMismatch, MomentumKey,
+                                   PlaneWaveFn,
                                    SideMismatch, SuperFunction, SuperPoint,
                                    apply_D, apply_D2, apply_Dbar, apply_Dbar2,
                                    apply_P, apply_Q, apply_Qbar,
@@ -46,6 +48,63 @@ def test_planewave_conjugate_reflects():
     g = PlaneWaveFn.wave(QC(1, 1), q)
     gc = g.conjugate()
     assert gc.terms[tuple(-x for x in q)] == QC(1, -1)
+
+
+# -- momentum keys ---------------------------------------------------------------
+
+momenta = st.tuples(*[st.fractions(max_denominator=10 ** 9)] * 4)
+
+
+@given(momenta)
+def test_momentum_key_equals_and_hashes_like_the_tuple(q):
+    k = MomentumKey(q)
+    assert k == q and hash(k) == hash(q) and tuple(k) == q
+    assert MomentumKey(k) is k
+    nk = -k
+    assert type(nk) is MomentumKey and nk == tuple(-x for x in q)
+    assert -nk == k and hash(-nk) == hash(q) and type(-nk) is MomentumKey
+
+
+@given(momenta, st.sampled_from([1, -1]))
+def test_plain_tuple_lookups_hit_the_same_terms(q, sign):
+    pw = PlaneWaveFn.wave(QC(1, 2), list(q), sign=sign)
+    (key, a), = pw.terms.items()
+    assert type(key) is MomentumKey
+    plain = q if sign > 0 else tuple(-x for x in q)
+    assert pw.terms[plain] == a == QC(1, 2)
+    f = SuperFunction({TOP: pw})
+    assert f.at_momentum(plain) == f.at_momentum(key) == f.at_momentum(list(plain))
+    assert f.at_momentum(plain) == Multivector({TOP: QC(1, 2)})
+
+
+def test_planewave_keeps_existing_keys():
+    k = MomentumKey((F2(1, 3), F2(0), F2(0), F2(2, 7)))
+    pw = PlaneWaveFn({k: QC(1)})
+    assert next(iter(pw.terms)) is k
+    assert next(iter((pw + pw).terms)) is k
+    assert next(iter(PlaneWaveFn.wave(QC(1), k).terms)) is k
+
+
+def test_float_momentum_keys():
+    q = (1.5, 0.25, 0.0, -2.0)
+    pw = PlaneWaveFn.wave(QC(1), q, sign=-1)
+    assert pw.terms[(-1.5, -0.25, -0.0, 2.0)] == QC(1)
+    assert pw.conjugate().terms[q] == QC(1)
+    k = MomentumKey(q)
+    assert hash(k) == hash(q) and hash(-k) == hash((-1.5, -0.25, 0.0, 2.0))
+    assert PlaneWaveFn.from_json(pw.to_json()) == pw
+
+
+@given(momenta, st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+def test_planewave_equality_independent_of_key_construction(q, re, im):
+    a = QC(re, im)
+    by_tuple = PlaneWaveFn({q: a})
+    by_key = PlaneWaveFn({MomentumKey(q): a})
+    assert by_tuple == by_key and by_key == by_tuple
+    assert by_tuple.to_json() == by_key.to_json()
+    assert by_tuple.conjugate() == by_key.conjugate()
+    merged = by_key + by_tuple
+    assert len(merged.terms) == (1 if a else 0) and merged == 2 * by_tuple
 
 
 # -- Hodge star ------------------------------------------------------------------
