@@ -25,7 +25,7 @@ from .grassmann import (EndoW, MONOMIALS, Multivector, PairingMatrix,
                         build_ext_minus, build_int_plus, build_q, build_qbar,
                         chiral_kernel, chiral_kernel_nullspace, mono_key, mono_mask)
 from .spin_geometry import (OffOrbit, classify_orbit, gamma_pair, gamma_lower,
-                            minkowski_norm2, rest_boost, spin_action_endo)
+                            minkowski_norm2)
 from . import symbols as sym
 from . import superfourier as sft
 from . import components as cmp
@@ -467,11 +467,7 @@ def cmd_pipeline(args):
     rp.run("chirality", lambda: (cmp.is_chiral(f, tol), 0.0, ""))
     rp.run("momentum_constraints", lambda: (
         sym.superspin0_constraints(p, mass).solution_dims_paired() == (2, 2), 0.0, ""))
-
-    def wz_zero():
-        w = cmp.wz_operator(f, mass, tol=tol)
-        return w.is_zero(tol), w.max_abs(), ""
-    rp.run("wz_vanishes", wz_zero)
+    rp.run("wz_vanishes", lambda: _wz_vanishes(f, mass, tol))
 
     def residuals():
         res = cmp.component_reduce(f, mass, tol)
@@ -480,32 +476,24 @@ def cmd_pipeline(args):
         return err <= tol, err, ""
     rp.run("component_residuals", residuals)
 
-    def transform():
-        fhat = sft.super_ft(f)
-        worst = 0.0
-        for a in (1, 2):
-            lhs = sft.super_ft(sft.apply_Dbar(a, f))
-            rhs = sft.SuperFunction({}, "momentum")
-            for b in (1, 2):
-                e = conventions.EPS_LOWER[a - 1][b - 1]
-                if e:
-                    rhs = rhs + QC(0, e) * sft.apply_zeta_momentum(
-                        lambda q, b=b: sym.zeta_dbar_action(q, b), fhat)
-            worst = max(worst, (lhs - rhs).max_abs())
-        return worst <= tol, worst, ""
-    rp.run("transform_identities", transform)
-
-    def grid():
-        if not args.grid:
-            return True, 0.0, "skipped (no --grid)"
-        n, h = args.grid
-        r1 = cmp.grid_residual(sol, float(m), cmp.Grid4(n, h))
-        r2 = cmp.grid_residual(sol, float(m), cmp.Grid4(n, h / 2))
-        ratio = (r1["max_kg"] / r2["max_kg"]) if r2["max_kg"] else float("inf")
-        return 3.0 < ratio < 5.0, r2["max_kg"], f"kg ratio {ratio:.2f}"
-    rp.run("grid_convergence", grid)
+    rp.run("grid_convergence", lambda: _grid_convergence(sol, m, args.grid) if args.grid
+           else (True, 0.0, "skipped (no --grid)"))
     _emit(rp, args)
     return 0 if rp.ok() else 1
+
+
+def _wz_vanishes(f, mass, tol):
+    w = cmp.wz_operator(f, mass, tol=tol)
+    return w.is_zero(tol), w.max_abs(), ""
+
+
+def _grid_convergence(sol, m, grid):
+    """Halving the grid spacing must cut the Klein-Gordon residual about 4x."""
+    n, h = grid
+    r1 = cmp.grid_residual(sol, float(m), cmp.Grid4(n, h))
+    r2 = cmp.grid_residual(sol, float(m), cmp.Grid4(n, h / 2))
+    ratio = (r1["max_kg"] / r2["max_kg"]) if r2["max_kg"] else float("inf")
+    return 3.0 < ratio < 5.0, r2["max_kg"], f"kg ratio {ratio:.2f}"
 
 
 def cmd_decompose(args):
@@ -595,7 +583,7 @@ def cmd_solve(args):
 
 
 def cmd_wz_check(args):
-    rp = Report("wz-check", args.seed)
+    rp = Report("wz-check")
     try:
         sol = cmp.solution_generator(args.momentum, args.mass)
     except OffOrbit as exc:
@@ -604,19 +592,11 @@ def cmd_wz_check(args):
     f = cmp.chiral_expand(sol)
     exact = all(isinstance(x, Fraction) for x in args.momentum)
     tol = 0.0 if exact else DEFAULT_TOL
-    rp.run("wz_vanishes", lambda: (cmp.wz_operator(f, args.mass, tol=tol).is_zero(tol),
-                                   cmp.wz_operator(f, args.mass, tol=tol).max_abs(), ""))
+    rp.run("wz_vanishes", lambda: _wz_vanishes(f, args.mass, tol))
     res = cmp.component_reduce(f, args.mass, tol)
     rp.run("residuals", lambda: (cmp.residuals_vanish(res, tol), 0.0, ""))
     if args.grid:
-        n, h = args.grid
-
-        def grid():
-            r1 = cmp.grid_residual(sol, float(args.mass), cmp.Grid4(n, h))
-            r2 = cmp.grid_residual(sol, float(args.mass), cmp.Grid4(n, h / 2))
-            ratio = (r1["max_kg"] / r2["max_kg"]) if r2["max_kg"] else float("inf")
-            return 3.0 < ratio < 5.0, r2["max_kg"], f"kg ratio {ratio:.2f}"
-        rp.run("grid_convergence", grid)
+        rp.run("grid_convergence", lambda: _grid_convergence(sol, args.mass, args.grid))
     _emit(rp, args)
     return 0 if rp.ok() else 1
 
@@ -643,13 +623,45 @@ def _emit_data(data, args, title=""):
 def _grid_arg(text):
     try:
         n, h = text.split(",")
-        return (int(n), float(h))
+        n, h = int(n), float(h)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected n,h") from exc
+    if n < 5 or not (h > 0 and math.isfinite(h)):
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} needs at least 5 points and a finite spacing h > 0")
+    return n, h
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from exc
+
+
+def _mass(text):
+    m = _rational(text)
+    if m <= 0:
+        raise argparse.ArgumentTypeError(f"mass must be positive, got {text!r}")
+    return m
+
+
+def _tolerance(text):
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _half_int(text):
-    return Fraction(text)
+    x = _rational(text)
+    if x < 0 or (2 * x).denominator != 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative half-integer, got {text!r}")
+    return x
 
 
 def build_parser():
@@ -682,7 +694,7 @@ def build_parser():
 
     p = sub.add_parser("kernel", help="kernel solvers")
     p.add_argument("--symbol", required=True, help="dirac|chiral|superspin0")
-    p.add_argument("--mass", type=_half_int, default=Fraction(1))
+    p.add_argument("--mass", type=_mass, default=Fraction(1))
     p.add_argument("--momentum", type=_parse_momentum, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_kernel)
@@ -693,27 +705,26 @@ def build_parser():
     p.set_defaults(fn=cmd_superft)
 
     p = sub.add_parser("solve", help="generate an on-shell superspin-0 solution")
-    p.add_argument("--mass", type=_half_int, default=Fraction(1))
+    p.add_argument("--mass", type=_mass, default=Fraction(1))
     p.add_argument("--momentum", type=_parse_momentum, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("wz-check", help="verify the Wess-Zumino system for a solution")
-    p.add_argument("--mass", type=_half_int, default=Fraction(1))
+    p.add_argument("--mass", type=_mass, default=Fraction(1))
     p.add_argument("--momentum", type=_parse_momentum, required=True)
     p.add_argument("--grid", type=_grid_arg)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_wz_check)
 
     p = sub.add_parser("orbit-classify", help="classify the orbit of a momentum")
     p.add_argument("--momentum", type=_parse_momentum, required=True)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_orbit_classify)
 
-    p = sub.add_parser("pipeline", help="end-to-end symbols -> transform -> components")
-    p.add_argument("--mass", type=_half_int, required=True)
+    p = sub.add_parser("pipeline", help="end-to-end symbols -> WZ operator -> components")
+    p.add_argument("--mass", type=_mass, required=True)
     p.add_argument("--momentum", type=_parse_momentum, required=True)
     p.add_argument("--grid", type=_grid_arg)
     p.add_argument("--seed", type=int, default=0)

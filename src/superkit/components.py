@@ -24,8 +24,8 @@ from .exactnum import QC, as_complex, coerce, conj
 from .grassmann import MONOMIALS, minus_set, mono_mask, plus_set
 from .spin_geometry import (OffOrbit, gamma_lower, minkowski_norm2,
                             momentum_is_exact)
-from .superfourier import (MomentumKey, PlaneWaveFn, SuperFunction, apply_D,
-                           apply_Dbar, apply_Dbar2, single_wave)
+from .superfourier import (MomentumKey, PlaneWaveFn, SuperFunction, apply_Dbar,
+                           apply_Dbar2)
 
 
 class NotChiral(ValueError):
@@ -256,11 +256,6 @@ class Grid4:
     def axes(self):
         return [self.origin[mu] + self.h * np.arange(self.n) for mu in range(4)]
 
-    def sample(self, fn):
-        ax = self.axes()
-        x0, x1, x2, x3 = np.meshgrid(*ax, indexing="ij", sparse=True)
-        return fn(x0, x1, x2, x3)
-
 
 def _sample_pw(pw, grid):
     ax = grid.axes()
@@ -324,69 +319,28 @@ def grid_residual(c, m, grid):
 
 # -- representability over auxiliary Grassmann coefficients ---------------------
 
-def _wz_columns(p, m):
-    """Real-linear matrix of the WZ operator on two-frequency chiral data.
-
-    Unknowns: (a, c, u1, u2, w1, w2, Fp, Fm) as 16 real parameters
-    (re and im interleaved); rows are re/im of every (monomial, momentum)
-    output coefficient.
-    """
-    pneg = tuple(-x for x in p)
-
-    def field(idx, val):
-        zero = PlaneWaveFn.zero()
-        data = [zero] * 8
-        data[idx] = PlaneWaveFn({(p if idx % 2 == 0 else pneg): val})
-        phi = data[0] + data[1]
-        psi = (data[2] + data[3], data[4] + data[5])
-        F = data[6] + data[7]
-        return chiral_expand(ChiralData(phi, psi, F))
-
-    cols = []
-    keys = None
-    for idx in range(8):
-        for val in (QC(1), QC(0, 1)):
-            out = wz_operator(field(idx, val), m, check=False)
-            if keys is None:
-                keys = [(mono, mom) for mono in MONOMIALS for mom in (p, pneg)]
-            col = []
-            for mono, mom in keys:
-                z = out.comp(mono).terms.get(mom, QC(0))
-                z = coerce(z)
-                col.append(z.re if isinstance(z, QC) else z.real)
-                col.append(z.im if isinstance(z, QC) else z.imag)
-            cols.append(col)
-    mat = [[cols[c][r] for c in range(16)] for r in range(len(cols[0]))]
-    return mat
-
-
-def wz_solution_dim(p, m):
-    """Real dimension of the two-frequency WZ kernel at momentum p."""
-    from . import linalg
-    return len(linalg.null_space(_wz_columns(p, m)))
+def _unit_chiral(p, idx, val):
+    """Chiral superfunction of the two-frequency data (phi+, phi-, psi1+,
+    psi1-, psi2+, psi2-, F+, F-) that is `val` in slot `idx` and 0 elsewhere;
+    + slots sit at momentum p, - slots at -p."""
+    p = MomentumKey(p)
+    data = [PlaneWaveFn.zero()] * 8
+    data[idx] = PlaneWaveFn({(p if idx % 2 == 0 else -p): val})
+    return chiral_expand(ChiralData(data[0] + data[1],
+                                    (data[2] + data[3], data[4] + data[5]),
+                                    data[6] + data[7]))
 
 
 def _wz_linear_antilinear(p, m):
     """Split the WZ operator on two-frequency chiral data into its complex
     linear part L and antilinear part A: wz(x) = L x + A conj(x)."""
     p = MomentumKey(p)
-    pneg = -p
-
-    def field(idx, val):
-        zero = PlaneWaveFn.zero()
-        data = [zero] * 8
-        data[idx] = PlaneWaveFn({(p if idx % 2 == 0 else pneg): val})
-        phi = data[0] + data[1]
-        psi = (data[2] + data[3], data[4] + data[5])
-        F = data[6] + data[7]
-        return chiral_expand(ChiralData(phi, psi, F))
-
-    keys = [(mono, mom) for mono in MONOMIALS for mom in (p, pneg)]
+    keys = [(mono, mom) for mono in MONOMIALS for mom in (p, -p)]
     half = QC(Fraction(1, 2))
     L, A = [], []
     for idx in range(8):
-        out1 = wz_operator(field(idx, QC(1)), m, check=False)
-        outi = wz_operator(field(idx, QC(0, 1)), m, check=False)
+        out1 = wz_operator(_unit_chiral(p, idx, QC(1)), m, check=False)
+        outi = wz_operator(_unit_chiral(p, idx, QC(0, 1)), m, check=False)
         colL, colA = [], []
         for mono, mom in keys:
             z1 = coerce(out1.comp(mono).terms.get(mom, QC(0)))
@@ -401,20 +355,26 @@ def _wz_linear_antilinear(p, m):
     return Lm, Am
 
 
-def _twisted_kernel(Lm, Am, twist):
-    """Real kernel of x -> L x + twist * A conj(x), as 16-real-component vectors."""
-    from . import linalg
-    rows = len(Lm)
+def _twisted_matrix(Lm, Am, twist):
+    """Real matrix of x -> L x + twist * A conj(x): unknowns are the 8 complex
+    data with re and im interleaved, rows re and im of each output
+    coefficient."""
     mat = []
-    for r in range(rows):
+    for lrow, arow in zip(Lm, Am):
         re_row, im_row = [], []
-        for c in range(8):
-            l, a = coerce(Lm[r][c]), coerce(Am[r][c] * twist)
+        for l, a in zip(lrow, arow):
+            l, a = coerce(l), coerce(a * twist)
             re_row.extend([l.re + a.re, -l.im + a.im])
             im_row.extend([l.im + a.im, l.re - a.re])
         mat.append(re_row)
         mat.append(im_row)
-    return linalg.null_space(mat)
+    return mat
+
+
+def _wz_columns(p, m):
+    """Real-linear matrix of the WZ operator on two-frequency chiral data:
+    16 real unknowns, rows re/im of every (monomial, momentum) output."""
+    return _twisted_matrix(*_wz_linear_antilinear(p, m), 1)
 
 
 def wz_equivalence_check(N, p=None, m=1):
@@ -439,7 +399,7 @@ def wz_equivalence_check(N, p=None, m=1):
     if p is None:
         p = (Fraction(2), Fraction(1), Fraction(1), Fraction(1))
     Lm, Am = _wz_linear_antilinear(p, m)
-    kernels = {t: _twisted_kernel(Lm, Am, t) for t in (1, -1)}
+    kernels = {t: linalg.null_space(_twisted_matrix(Lm, Am, t)) for t in (1, -1)}
     scalar_dim = len(kernels[1])
     bos_idx, fer_idx = [0, 1, 6, 7], [2, 3, 4, 5]
 

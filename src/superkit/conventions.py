@@ -14,6 +14,7 @@ L1  Canonical odd-generator order is  tau^1 < tau^2 < taubar^1 < taubar^2,
     interior products are graded contractions.  This is the unique choice
     (up to a global basis sign) under which the rest-frame anticommutation
     suite and the supersymmetric-invariance commutators hold together.
+    The sign is computed in one place, ``grassmann.koszul_sign``.
 L2  eps_lower = eps_upper = [[0, 1], [-1, 0]] in the index pair (a, b), for
     both undotted and dotted (minus-chirality) indices.  In particular
     eps^{12} = +1, i.e. NOT the inverse convention eps^{ab}eps_{bc} =

@@ -189,15 +189,6 @@ class QC:
         return f"{re}{sign}{abs(im)}i"
 
 
-ZERO = QC(0)
-ONE = QC(1)
-I = QC(0, 1)
-
-
-def qc(re=0, im=0):
-    return QC(re, im)
-
-
 def is_exact(z):
     return isinstance(z, (QC, int, Fraction))
 

@@ -8,6 +8,14 @@ Koszul crossing counts in the flattened word (ledger L1): the exterior
 multiplications are left multiplications and the interior products are
 graded contractions, which makes the four d/q families genuine Clifford
 creation/annihilation operators.
+
+``koszul_sign`` is the one place that computes such a sign; every other
+product of odd generators in the package (the spin action on W, the
+auxiliary algebras Lambda_N of the group law) calls it.  ``GEN_TABLE``
+holds each generator as a signed permutation of the monomial basis, and
+``apply_generators`` applies sums of them to any ``{mask: coefficient}``
+map, so the operators on ``Multivector`` and on superfunctions share one
+path.
 """
 
 from __future__ import annotations
@@ -18,9 +26,6 @@ from . import linalg
 N_GEN = 4
 DIM = 16
 MONOMIALS = tuple(range(DIM))
-
-_PLUS_BITS = (0, 1)
-_MINUS_BITS = (2, 3)
 
 
 def plus_set(mask):
@@ -65,13 +70,23 @@ def mask_from_key(key):
     return mono_mask(tuple(int(c) for c in i), tuple(int(c) for c in j))
 
 
+def koszul_sign(ma, mb):
+    """Sign that sorts the word ma . mb of two disjoint masks into canonical
+    order: -1 to the number of (bit of ma, bit of mb) pairs in which the
+    bit of ma is the higher one."""
+    crossings = 0
+    while mb:
+        crossings += (ma >> (mb & -mb).bit_length()).bit_count()
+        mb &= mb - 1
+    return -1 if crossings & 1 else 1
+
+
 def wedge_gen(gen, mask):
     """Left multiply by generator `gen` (0..3): (sign, new mask) or (0, None)."""
     bit = 1 << gen
     if mask & bit:
         return 0, None
-    below = bin(mask & (bit - 1)).count("1")
-    return (-1) ** below, mask | bit
+    return koszul_sign(bit, mask), mask | bit
 
 
 def contract_gen(gen, mask):
@@ -79,8 +94,36 @@ def contract_gen(gen, mask):
     bit = 1 << gen
     if not mask & bit:
         return 0, None
-    below = bin(mask & (bit - 1)).count("1")
-    return (-1) ** below, mask & ~bit
+    return koszul_sign(bit, mask & ~bit), mask & ~bit
+
+
+# GEN_TABLE[g][m] = (sign, m ^ bit g): generator g as a signed permutation of
+# the monomials, a left wedge where bit g of m is clear and a contraction
+# where it is set.
+GEN_TABLE = tuple(tuple(contract_gen(g, m) if m >> g & 1 else wedge_gen(g, m)
+                        for m in MONOMIALS) for g in range(N_GEN))
+
+
+def apply_generators(coeffs, terms):
+    """Image of a {mask: coefficient} map under a sum of generator actions.
+
+    Each term is (scale, gen, contract): the left wedge (contract False) or
+    the contraction (contract True) by generator `gen`, times `scale`, or
+    unscaled when `scale` is None.  Coefficients need only +, unary - and
+    scalar *, so QC and PlaneWaveFn both work; the result is a plain dict.
+    """
+    out = {}
+    for mask, c in coeffs.items():
+        for scale, gen, contract in terms:
+            if (mask >> gen & 1) != contract:
+                continue
+            sgn, nm = GEN_TABLE[gen][mask]
+            val = c if scale is None else c * scale
+            if sgn < 0:
+                val = -val
+            prev = out.get(nm)
+            out[nm] = val if prev is None else prev + val
+    return out
 
 
 class Multivector:
@@ -145,11 +188,6 @@ class Multivector:
     def from_vector(cls, vec):
         return cls({m: vec[m] for m in MONOMIALS})
 
-    def parity_parts(self):
-        even = Multivector({m: c for m, c in self.coeffs.items() if parity(m) == 0})
-        odd = Multivector({m: c for m, c in self.coeffs.items() if parity(m) == 1})
-        return even, odd
-
     def to_json(self):
         from .exactnum import to_pairs
         return {"coeffs": {mono_key(m): to_pairs(c) for m, c in sorted(self.coeffs.items())}}
@@ -210,44 +248,26 @@ EPS = SymplecticForm()
 
 # -- primitive operations -------------------------------------------------
 
-def _apply_linear(terms, mv):
-    """terms: list of (scale or None, gen_action); action(mask) -> (sign, mask)."""
-    out = {}
-    for mask, c in mv.coeffs.items():
-        for scale, act in terms:
-            sgn, nm = act(mask)
-            if nm is None:
-                continue
-            val = c if scale is None else c * scale
-            if sgn < 0:
-                val = -val
-            prev = out.get(nm)
-            out[nm] = val if prev is None else prev + val
-    return Multivector(out)
-
-
 def ext_plus(a, mv):
     """Left exterior multiplication by tau^a on the plus factor."""
-    return _apply_linear([(None, lambda m, g=a - 1: wedge_gen(g, m))], mv)
+    return Multivector(apply_generators(mv.coeffs, [(None, a - 1, False)]))
 
 
 def ext_minus(a, mv):
     """Left exterior multiplication by taubar^a, with the Koszul crossing sign."""
-    return _apply_linear([(None, lambda m, g=a + 1: wedge_gen(g, m))], mv)
+    return Multivector(apply_generators(mv.coeffs, [(None, a + 1, False)]))
 
 
 def int_plus(a, B, mv):
     """Interior product i_{tau^a}: contracts taubar^b with coefficient B[a][b]."""
-    terms = [(B[a, b], (lambda m, g=b + 1: contract_gen(g, m)))
-             for b in (1, 2) if not scal_is_zero(B[a, b])]
-    return _apply_linear(terms, mv)
+    return Multivector(apply_generators(
+        mv.coeffs, [(B[a, b], b + 1, True) for b in (1, 2) if not scal_is_zero(B[a, b])]))
 
 
 def int_minus(a, B, mv):
     """Interior product i_{taubar^a}: contracts tau^b with coefficient B[b][a]."""
-    terms = [(B[b, a], (lambda m, g=b - 1: contract_gen(g, m)))
-             for b in (1, 2) if not scal_is_zero(B[b, a])]
-    return _apply_linear(terms, mv)
+    return Multivector(apply_generators(
+        mv.coeffs, [(B[b, a], b - 1, True) for b in (1, 2) if not scal_is_zero(B[b, a])]))
 
 
 # -- endomorphisms ---------------------------------------------------------
@@ -335,10 +355,6 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 # -- the d / q family ------------------------------------------------------
 #
 # Operators are assembled as sparse actions (closures Multivector ->
@@ -411,10 +427,6 @@ def i2bar_action(B, eps=EPS):
                           lambda mv: int_minus(2, B, mv)], eps)
     half = QC(Fraction(-1, 2))
     return lambda mv: half * inner(mv)
-
-
-def build_ext_plus(a):
-    return EndoW.from_action(lambda mv: ext_plus(a, mv))
 
 
 def build_ext_minus(a):

@@ -104,17 +104,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum_scalars(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def sum_scalars(it):
-    s = coerce(0)
-    for x in it:
-        s = s + x
-    return s
-
-
 def same_span(basis_a, basis_b, tol=0.0):
     """True iff the two lists of vectors span the same subspace."""
     if not basis_a and not basis_b:

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 
 from . import conventions
-from .exactnum import QC, as_complex, coerce, conj, is_exact
-from .grassmann import EndoW, Multivector, PairingMatrix
+from .exactnum import QC, as_complex, coerce, conj
+from .grassmann import EndoW, Multivector, PairingMatrix, koszul_sign
 
 
 class OffOrbit(ValueError):
@@ -120,17 +120,6 @@ class SpinElement:
         return m2_inv_unimodular(m2_dagger(self.a))
 
 
-def vector_from_pairing(mat):
-    """Invert p -> B(p): B = [[p0+p1, p2-i p3], [p2+i p3, p0-p1]]."""
-    b11, b12, b21, b22 = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
-    half = Fraction(1, 2)
-    p0 = (b11 + b22) * half
-    p1 = (b11 - b22) * half
-    p2 = (b12 + b21) * half
-    p3 = (b21 - b12) * half * QC(0, -1)
-    return (p0, p1, p2, p3)
-
-
 def act_on_momentum(h, p):
     """The Lorentz action through B(h.p) = A B(p) A^dagger; returns floats."""
     B = gamma_pair(p)
@@ -197,10 +186,12 @@ def spin_action_endo(h):
                     continue
                 nxt = {}
                 for cg, tgt in gen_images[g]:
+                    bit = 1 << tgt
                     for cur_mask, cur_c in terms.items():
-                        sgn, nm = wedge_gen_right(tgt, cur_mask)
-                        if nm is None:
+                        if cur_mask & bit:
                             continue
+                        nm = cur_mask | bit
+                        sgn = koszul_sign(cur_mask, bit)
                         nxt[nm] = nxt.get(nm, coerce(0)) + cur_c * cg * sgn
                 terms = nxt
             for mk, c in terms.items():
@@ -208,15 +199,6 @@ def spin_action_endo(h):
         return out
 
     return EndoW.from_action(act)
-
-
-def wedge_gen_right(gen, mask):
-    """Append generator `gen` on the right of the word `mask`."""
-    bit = 1 << gen
-    if mask & bit:
-        return 0, None
-    above = bin(mask & ~((bit << 1) - 1)).count("1")
-    return (-1) ** above, mask | bit
 
 
 def conj_zeta(z):

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from . import conventions
 from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
-from .grassmann import (MONOMIALS, Multivector, contract_gen, mono_key,
-                        mono_mask, mask_from_key, minus_set, plus_set,
-                        wedge_gen)
+from .grassmann import (MONOMIALS, Multivector, apply_generators, koszul_sign,
+                        mono_key, mono_mask, mask_from_key, minus_set, plus_set)
 from .spin_geometry import pair_covector
 
 
@@ -127,15 +126,6 @@ class PlaneWaveFn:
         """The wave operator: each term times -<q,q>."""
         from .spin_geometry import minkowski_norm2
         return PlaneWaveFn({q: a * (-minkowski_norm2(q)) for q, a in self.terms.items()})
-
-    def eval_at(self, x):
-        """Numeric evaluation at a spacetime point (x0, x1, x2, x3)."""
-        import cmath
-        s = 0j
-        for q, a in self.terms.items():
-            phase = sum(float(qm) * float(xm) for qm, xm in zip(q, x))
-            s += as_complex(a) * cmath.exp(1j * phase)
-        return s
 
     def momenta(self):
         return set(self.terms)
@@ -307,27 +297,17 @@ def body_restriction(f):
 # -- odd derivations and the covariant vector fields ---------------------------
 
 def theta_derivative(a, f, barred=False):
-    """Left derivative d/d theta^a (or d/d thetabar^a)."""
+    """Left derivative d/d theta^a (or d/d thetabar^a); on the momentum side,
+    d/d tau^a (or d/d taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    out = {}
-    for m, g in f.comps.items():
-        sgn, nm = contract_gen(gen, m)
-        if nm is None:
-            continue
-        out[nm] = out.get(nm, PlaneWaveFn.zero()) + sgn * g
-    return SuperFunction(out, f.side)
+    return SuperFunction(apply_generators(f.comps, [(None, gen, True)]), f.side)
 
 
 def theta_multiply(a, f, barred=False):
-    """Left multiplication by theta^a (or thetabar^a)."""
+    """Left multiplication by theta^a (or thetabar^a); on the momentum side,
+    by tau^a (or taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    out = {}
-    for m, g in f.comps.items():
-        sgn, nm = wedge_gen(gen, m)
-        if nm is None:
-            continue
-        out[nm] = out.get(nm, PlaneWaveFn.zero()) + sgn * g
-    return SuperFunction(out, f.side)
+    return SuperFunction(apply_generators(f.comps, [(None, gen, False)]), f.side)
 
 
 def apply_P(mu, f):
@@ -399,18 +379,6 @@ def graded_bracket(op1, op2, f):
 
 # -- tau-side operators on momentum superfunctions ------------------------------
 
-def apply_endo_momentum(endo, fhat):
-    """Apply a 16x16 EndoW momentum-wise to a momentum-side superfunction."""
-    fhat.require_side("momentum")
-    out = {}
-    for c, g in fhat.comps.items():
-        for r in MONOMIALS:
-            x = endo.mat[r][c]
-            if not scal_is_zero(x):
-                out[r] = out.get(r, PlaneWaveFn.zero()) + x * g
-    return SuperFunction(out, side="momentum")
-
-
 def apply_zeta_momentum(zeta_fn, fhat):
     """Apply a momentum-dependent symbol p -> EndoW at each momentum key."""
     fhat.require_side("momentum")
@@ -421,18 +389,6 @@ def apply_zeta_momentum(zeta_fn, fhat):
         for m, c in img.coeffs.items():
             out.setdefault(m, {})[q] = out.get(m, {}).get(q, QC(0)) + c
     return SuperFunction({m: PlaneWaveFn(t) for m, t in out.items()}, side="momentum")
-
-
-def tau_multiply(b, fhat, barred=False):
-    fhat.require_side("momentum")
-    g = theta_multiply(b, SuperFunction(fhat.comps, "position"), barred=barred)
-    return SuperFunction(g.comps, "momentum")
-
-
-def tau_derivative(b, fhat, barred=False):
-    fhat.require_side("momentum")
-    g = theta_derivative(b, SuperFunction(fhat.comps, "position"), barred=barred)
-    return SuperFunction(g.comps, "momentum")
 
 
 def exchange_check(f):
@@ -458,14 +414,14 @@ def exchange_check(f):
             for b in (1, 2):
                 e = eps_l[a - 1][b - 1]
                 if e:
-                    rhs = rhs + QC(0, e) * tau_multiply(b, fhat, barred=barred)
+                    rhs = rhs + QC(0, e) * theta_multiply(b, fhat, barred=barred)
             report[f"d/dtheta{tag}^{a}"] = (lhs - rhs).max_abs()
             lhs2 = super_ft(theta_multiply(a, f, barred=barred))
             rhs2 = SuperFunction({}, "momentum")
             for b in (1, 2):
                 e = eps_u[a - 1][b - 1]
                 if e:
-                    rhs2 = rhs2 + QC(0, -e) * tau_derivative(b, fhat, barred=barred)
+                    rhs2 = rhs2 + QC(0, -e) * theta_derivative(b, fhat, barred=barred)
             report[f"theta{tag}^{a}*"] = (lhs2 - rhs2).max_abs()
     return report
 
@@ -488,12 +444,6 @@ class AuxGrassmann:
         if not 0 <= i < self.n:
             raise IndexError("generator index out of range")
         return GrassElt(self, {1 << i: QC(1)})
-
-    def basis_masks(self, parity_sel=None):
-        masks = range(1 << self.n)
-        if parity_sel is None:
-            return list(masks)
-        return [m for m in masks if bin(m).count("1") % 2 == parity_sel]
 
 
 class GrassElt:
@@ -541,9 +491,8 @@ class GrassElt:
             for mb, cb in other.coeffs.items():
                 if ma & mb:
                     continue
-                sgn = _merge_sign(ma, mb)
                 key = ma | mb
-                out[key] = out.get(key, QC(0)) + ca * cb * sgn
+                out[key] = out.get(key, QC(0)) + ca * cb * koszul_sign(ma, mb)
         return GrassElt(self.alg, out)
 
     def __rmul__(self, other):
@@ -577,17 +526,6 @@ class GrassElt:
 
     def __repr__(self):
         return f"GrassElt({self.coeffs!r})"
-
-
-def _merge_sign(ma, mb):
-    """Koszul sign for merging two disjoint sorted words ma, mb (ma first)."""
-    sign = 1
-    for i in range(mb.bit_length()):
-        if mb & (1 << i):
-            above = bin(ma >> (i + 1)).count("1")
-            if above & 1:
-                sign = -sign
-    return sign
 
 
 class SuperPoint:

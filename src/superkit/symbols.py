@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from . import linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import (EPS, build_d, build_d2, build_d2_factorized, build_dbar,
-                        build_dbar2, build_i2, build_int_minus, build_int_plus,
-                        d_action, d2_action, dbar_action, dbar2_action, i2_action)
+from .grassmann import (EPS, build_d, build_d2, build_dbar, build_dbar2, build_i2,
+                        build_int_minus, build_int_plus, d2_action, dbar_action)
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -52,19 +51,11 @@ def zeta_dbar2(p):
     return build_dbar2(gamma_pair(p), EPS)
 
 
-def zeta_d2_factorized(p):
-    return build_d2_factorized(gamma_pair(p), EPS)
-
-
 def zeta_i2(p):
     return build_i2(gamma_pair(p), EPS)
 
 
 # sparse-action variants (same operators, no dense matrix assembly)
-
-def zeta_d_action(p, a):
-    return d_action(a, gamma_pair(p))
-
 
 def zeta_dbar_action(p, a):
     return dbar_action(a, gamma_pair(p))
@@ -72,14 +63,6 @@ def zeta_dbar_action(p, a):
 
 def zeta_d2_action(p):
     return d2_action(gamma_pair(p), EPS)
-
-
-def zeta_dbar2_action(p):
-    return dbar2_action(gamma_pair(p), EPS)
-
-
-def zeta_i2_action(p):
-    return i2_action(gamma_pair(p), EPS)
 
 
 def propagate(u, p, m, tol=1e-9):
@@ -147,10 +130,6 @@ def dirac_spin_matrix(h):
 
 
 # -- divergence symbol on symmetric powers ------------------------------------
-
-def sym_dim(two_s):
-    return two_s + 1
-
 
 def sym_tensor_dim(two_a, two_b):
     return (two_a + 1) * (two_b + 1)

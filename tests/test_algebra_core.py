@@ -8,15 +8,16 @@ from superkit.grassmann import (EPS, DIM, EndoW, MONOMIALS, Multivector,
                                 build_i2, build_int_minus, build_int_plus, build_q,
                                 build_qbar, chiral_kernel, chiral_kernel_nullspace,
                                 conjugate_w, contract_gen, degree, ext_minus,
-                                ext_plus, int_minus, int_plus, mono_mask, mono_key,
-                                mask_from_key, parity, plus_set, minus_set, wedge_gen)
+                                ext_plus, int_minus, int_plus, koszul_sign, mono_mask,
+                                mono_key, mask_from_key, parity, plus_set, minus_set,
+                                wedge_gen)
 from superkit import linalg
 
 
 # -- independent sign oracle --------------------------------------------------
 
 def _word(mask):
-    return [g for g in range(4) if mask & (1 << g)]
+    return [g for g in range(mask.bit_length()) if mask & (1 << g)]
 
 
 def _inversion_sign(seq):
@@ -51,6 +52,12 @@ def test_sign_oracle_all_monomials():
         for mask in MONOMIALS:
             assert wedge_gen(gen, mask) == oracle_wedge(gen, mask)
             assert contract_gen(gen, mask) == oracle_contract(gen, mask)
+    # the sign core itself, on words of up to six generators: the Lambda_N
+    # product (N <= 6) and the right append of the spin action
+    for ma in range(64):
+        for mb in range(64):
+            if not ma & mb:
+                assert koszul_sign(ma, mb) == _inversion_sign(_word(ma) + _word(mb))
 
 
 # -- monomial bookkeeping ------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superkit.cli import main
 
 
@@ -145,3 +147,25 @@ def test_momentum_pairs_must_be_integer_ratios(capsys):
     code, out = run(capsys, "orbit-classify", "--momentum", "[[5,4],[3,4],0,0]", "--json")
     assert code == 0
     assert json.loads(out)["orbit"] == "MassivePlus"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--mass", "-1", "--momentum", "[1,0,0,0]"],
+    ["pipeline", "--mass", "0", "--momentum", "[1,1,0,0]"],
+    ["kernel", "--symbol", "dirac", "--mass", "-1", "--momentum", "[1,0,0,0]"],
+    ["solve", "--mass", "1/0", "--momentum", "[1,0,0,0]"],
+    ["decompose", "--alpha", "1/3", "--beta", "1"],
+    ["decompose", "--alpha", "1", "--beta", "-1/2"],
+    ["multiplet", "--sigma", "1/3"],
+    ["content", "--sigma", "-1"],
+    ["pipeline", "--mass", "1", "--momentum", "[1,0,0,0]", "--grid", "3,0.2"],
+    ["wz-check", "--mass", "1", "--momentum", "[2,1,1,1]", "--grid", "3,0.2"],
+    ["wz-check", "--mass", "1", "--momentum", "[2,1,1,1]", "--grid", "9,0"],
+    ["pipeline", "--mass", "1", "--momentum", "[1,0,0,0]", "--grid", "9,nan"],
+    ["orbit-classify", "--momentum", "[0,0,0,0]", "--tol", "-1"],
+])
+def test_bad_numeric_input_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"superkit {argv[0]}: error: ")
