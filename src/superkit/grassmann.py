@@ -543,30 +543,13 @@ def chiral_kernel(B):
 
 
 def chiral_kernel_display_form(B):
-    """The commonly quoted closed-form variant (positive scalar part,
-    negated middle coefficients); kept for the comparison suite -- it is NOT
-    annihilated by the dbar operators, unlike chiral_kernel."""
-    b11, b12, b21, b22 = B[1, 1], B[1, 2], B[2, 1], B[2, 2]
-    top = mono_mask((1, 2), (1, 2))
-    x_phi = Multivector({
-        0: B.det(),
-        mono_mask((1,), (1,)): -b22,
-        mono_mask((1,), (2,)): b21,
-        mono_mask((2,), (1,)): b12,
-        mono_mask((2,), (2,)): -b11,
-        top: coerce(1),
-    })
-    x_psi1 = Multivector({
-        mono_mask((), (1,)): b12,
-        mono_mask((), (2,)): -b11,
-        mono_mask((1,), (1, 2)): coerce(1),
-    })
-    x_psi2 = Multivector({
-        mono_mask((), (1,)): b22,
-        mono_mask((), (2,)): -b21,
-        mono_mask((2,), (1, 2)): coerce(1),
-    })
-    x_f = Multivector({mono_mask((), (1, 2)): coerce(1)})
+    """The commonly quoted closed-form variant: chiral_kernel with the scalar
+    and the four middle coefficients of X_phi negated.  Kept for the
+    comparison suite -- it is NOT annihilated by the dbar operators."""
+    x_phi, x_psi1, x_psi2, x_f = chiral_kernel(B)
+    flip = (0, mono_mask((1,), (1,)), mono_mask((1,), (2,)),
+            mono_mask((2,), (1,)), mono_mask((2,), (2,)))
+    x_phi = Multivector({m: -c if m in flip else c for m, c in x_phi.coeffs.items()})
     return [x_phi, x_psi1, x_psi2, x_f]
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import (EPS, build_d, build_d2, build_dbar, build_dbar2, build_i2,
-                        build_int_minus, build_int_plus, d2_action, dbar_action)
+from .grassmann import (EPS, build_d2, build_dbar2, build_i2, build_int_minus,
+                        build_int_plus, d2_action, dbar_action)
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -33,14 +33,6 @@ def zeta_int(p, side, a):
     if side == "minus":
         return build_int_minus(a, B)
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
-def zeta_d(p, a):
-    return build_d(a, gamma_pair(p))
-
-
-def zeta_dbar(p, a):
-    return build_dbar(a, gamma_pair(p))
 
 
 def zeta_d2(p):

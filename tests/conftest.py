@@ -1,11 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from superkit.exactnum import QC
-from superkit.grassmann import MONOMIALS, PairingMatrix
+from superkit.grassmann import MONOMIALS
+from superkit.suites import rand_momentum, rand_qc
 from superkit.superfourier import SuperFunction, single_wave
 
 
@@ -14,31 +13,9 @@ def rng():
     return random.Random(20260808)
 
 
-def rand_rational(rng, span=5, den=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
-def rand_qc(rng, span=5, den=4):
-    return QC(rand_rational(rng, span, den), rand_rational(rng, span, den))
-
-
-def rand_pairing(rng):
-    while True:
-        B = PairingMatrix([[rand_qc(rng) for _ in range(2)] for _ in range(2)])
-        if B.is_invertible():
-            return B
-
-
-def rand_momentum(rng, span=6, den=4):
-    return tuple(rand_rational(rng, span, den) for _ in range(4))
-
-
-def rand_onshell_float(rng, m):
-    k = [rng.uniform(-2, 2) for _ in range(3)]
-    return (math.sqrt(m * m + sum(x * x for x in k)), *k)
-
-
 def rand_superfunction(rng, nterms=1, pool=4):
+    """Like suites.rand_superfunction, but with the momenta drawn from a pool
+    of `pool`, so the components share momenta."""
     momenta = [rand_momentum(rng) for _ in range(pool)]
     f = SuperFunction({}, "position")
     for mask in MONOMIALS:

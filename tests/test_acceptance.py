@@ -15,17 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (ONSHELL_EXACT, rand_momentum, rand_onshell_float,
-                      rand_pairing, rand_qc, rand_superfunction)
+from conftest import ONSHELL_EXACT, rand_momentum, rand_qc, rand_superfunction
 
-from superkit import conventions, linalg
-from superkit.exactnum import QC, coerce, conj
-from superkit.grassmann import (MONOMIALS, Multivector, PairingMatrix,
-                                build_d2, build_d2_factorized, build_dbar,
-                                build_dbar2, build_dbar2_factorized, build_i2,
-                                chiral_kernel, chiral_kernel_nullspace,
-                                chiral_kernel_display_form, mono_mask)
-from superkit.spin_geometry import gamma_lower, gamma_pair, minkowski_norm2
+from superkit import linalg, suites
+from superkit.exactnum import QC, coerce
+from superkit.grassmann import (PairingMatrix, build_dbar, chiral_kernel_display_form)
+from superkit.suites import rand_pairing, rand_shell_sample
 from superkit import components as cmp
 from superkit import superfourier as sft
 from superkit import symbols as sym
@@ -46,34 +41,12 @@ def _announce(cid, ok, detail=""):
 def test_criterion_1_anticommutation_and_susy():
     rng = random.Random(1)
     t0 = time.perf_counter()
-    from superkit.grassmann import (d_action, dbar_action, ext_minus, int_plus,
-                                    q_action, qbar_action)
-
-    def anti_equals(f, g, scale=None):
-        """Column-wise exact equality of {f, g} with scale*Id as 16x16 matrices."""
-        for m in MONOMIALS:
-            e = Multivector.basis(m)
-            got = f(g(e)) + g(f(e))
-            want = Multivector.basis(m, scale) if scale is not None else Multivector({})
-            if got != want:
-                return False
-        return True
-
     pairings = [PairingMatrix.identity()] + [rand_pairing(rng) for _ in range(20)]
-    exts = {b: (lambda mv, b=b: ext_minus(b, mv)) for b in (1, 2)}
-    for B in pairings:
-        ints = {a: (lambda mv, a=a, B=B: int_plus(a, B, mv)) for a in (1, 2)}
-        for a in (1, 2):
-            for b in (1, 2):
-                assert anti_equals(ints[a], exts[b], B[a, b])
-                assert anti_equals(ints[a], ints[b])
-                assert anti_equals(exts[a], exts[b])
-    for B in pairings[:10]:
-        qs = [q_action(a, B) for a in (1, 2)] + [qbar_action(a, B) for a in (1, 2)]
-        ds = [d_action(b, B) for b in (1, 2)] + [dbar_action(b, B) for b in (1, 2)]
-        for qop in qs:
-            for dop in ds:
-                assert anti_equals(qop, dop)
+    for check, data in ((suites.anticommutation_ie, pairings),
+                        (suites.anticommutation_ii_ee, pairings),
+                        (suites.susy_invariance, pairings[:10])):
+        ok, _, detail = check(data)
+        assert ok, f"{check.__name__}: {detail}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _announce("1.algebra_identities", True,
@@ -90,12 +63,8 @@ def test_criterion_1_d2_route_equivalence():
     transform identities of criterion 3.
     """
     rng = random.Random(2)
-    ok = True
-    for B in [PairingMatrix.identity()] + [rand_pairing(rng) for _ in range(5)]:
-        if build_d2(B) != build_d2_factorized(B):
-            ok = False
-        if build_dbar2(B) != build_dbar2_factorized(B):
-            ok = False
+    ok, _, _ = suites.d2_route_equivalence(
+        [PairingMatrix.identity()] + [rand_pairing(rng) for _ in range(5)])
     _announce("1.d2_route_equivalence", ok,
               "factorized form lacks the cross terms of the composed operator "
               "(conventions ledger L7)")
@@ -107,15 +76,8 @@ def test_criterion_2_chiral_kernel_dimension():
     rng = random.Random(3)
     t0 = time.perf_counter()
     pairings = [PairingMatrix.identity()] + [rand_pairing(rng) for _ in range(20)]
-    for B in pairings:
-        ns = chiral_kernel_nullspace(B)
-        assert len(ns) == 4
-        ker = chiral_kernel(B)
-        d1, d2 = build_dbar(1, B), build_dbar(2, B)
-        for v in ker:
-            assert d1(v).is_zero() and d2(v).is_zero()
-        assert linalg.same_span([v.to_vector() for v in ker],
-                                [v.to_vector() for v in ns])
+    ok, _, detail = suites.chiral_kernel(pairings)
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _announce("2.chiral_kernel_dimension", True,
@@ -149,43 +111,12 @@ def test_criterion_2_display_closed_form():
 def test_criterion_3_hodge_and_transform():
     rng = random.Random(5)
     t0 = time.perf_counter()
-    # the sixteen display entries
-    expected = {
-        mono_mask((), ()): (mono_mask((1, 2), (1, 2)), QC(1)),
-        mono_mask((1,), ()): (mono_mask((1,), (1, 2)), QC(0, 1)),
-        mono_mask((2,), ()): (mono_mask((2,), (1, 2)), QC(0, 1)),
-        mono_mask((), (1,)): (mono_mask((1, 2), (1,)), QC(0, 1)),
-        mono_mask((), (2,)): (mono_mask((1, 2), (2,)), QC(0, 1)),
-        mono_mask((1, 2), ()): (mono_mask((), (1, 2)), QC(1)),
-        mono_mask((), (1, 2)): (mono_mask((1, 2), ()), QC(1)),
-        mono_mask((1,), (1,)): (mono_mask((1,), (1,)), QC(-1)),
-        mono_mask((1,), (2,)): (mono_mask((1,), (2,)), QC(-1)),
-        mono_mask((2,), (1,)): (mono_mask((2,), (1,)), QC(-1)),
-        mono_mask((2,), (2,)): (mono_mask((2,), (2,)), QC(-1)),
-        mono_mask((1, 2), (1,)): (mono_mask((), (1,)), QC(0, 1)),
-        mono_mask((1, 2), (2,)): (mono_mask((), (2,)), QC(0, 1)),
-        mono_mask((1,), (1, 2)): (mono_mask((1,), ()), QC(0, 1)),
-        mono_mask((2,), (1, 2)): (mono_mask((2,), ()), QC(0, 1)),
-        mono_mask((1, 2), (1, 2)): (mono_mask((), ()), QC(1)),
-    }
-    for src, (tgt, fac) in expected.items():
-        assert sft.hodge_star(Multivector.basis(src)) == Multivector.basis(tgt, fac)
-    for _ in range(30):
-        f = rand_superfunction(rng)
-        assert all(v == 0 for v in sft.exchange_check(f).values())
-        fhat = sft.super_ft(f)
-        for a in (1, 2):
-            lhs = sft.super_ft(sft.apply_Dbar(a, f))
-            rhs = sft.SuperFunction({}, "momentum")
-            for b in (1, 2):
-                e = conventions.EPS_LOWER[a - 1][b - 1]
-                if e:
-                    rhs = rhs + QC(0, e) * sft.apply_zeta_momentum(
-                        lambda p, b=b: sym.zeta_dbar_action(p, b), fhat)
-            assert lhs == rhs
-        lhs2 = sft.super_ft(sft.apply_D2(f))
-        rhs2 = (-1) * sft.apply_zeta_momentum(sym.zeta_d2_action, fhat)
-        assert lhs2 == rhs2
+    fs = [rand_superfunction(rng) for _ in range(30)]
+    for check, data in ((suites.hodge_star_table, []),
+                        (suites.exchange_identities, fs),
+                        (suites.zeta_intertwining, fs)):
+        ok, _, detail = check(data)
+        assert ok, f"{check.__name__}: {detail}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
     _announce("3.hodge_and_transform", True,
@@ -198,32 +129,17 @@ def test_criterion_3_hodge_and_transform():
 def test_criterion_4_bracket_table():
     rng = random.Random(6)
     t0 = time.perf_counter()
-    ops = {"Q": sft.apply_Q, "Qbar": sft.apply_Qbar,
-           "D": sft.apply_D, "Dbar": sft.apply_Dbar}
-    vanishing = (("Q", "Q"), ("Qbar", "Qbar"), ("D", "D"), ("Dbar", "Dbar"),
-                 ("Q", "D"), ("Q", "Dbar"), ("Qbar", "D"), ("Qbar", "Dbar"))
+    cases = []
     for trial in range(10):
         q = rand_momentum(rng)
-        gl = gamma_lower(q)
         # rotate the monomial sample so all sixteen components are exercised
         # across the ten momenta
-        masks = [(4 * trial + i) % 16 for i in range(4)]
         f = sft.SuperFunction({}, "position")
-        for mask in masks:
+        for mask in ((4 * trial + i) % 16 for i in range(4)):
             f = f + sft.single_wave(mask, QC(1), q)
-        for a in (1, 2):
-            for b in (1, 2):
-                qq = sft.graded_bracket(lambda g, a=a: ops["Q"](a, g),
-                                        lambda g, b=b: ops["Qbar"](b, g), f)
-                dd = sft.graded_bracket(lambda g, a=a: ops["D"](a, g),
-                                        lambda g, b=b: ops["Dbar"](b, g), f)
-                assert qq == (-2 * gl[a - 1][b - 1]) * f
-                assert dd == (2 * gl[a - 1][b - 1]) * f
-                for n1, n2 in vanishing:
-                    z = sft.graded_bracket(
-                        lambda g, a=a, o=ops[n1]: o(a, g),
-                        lambda g, b=b, o=ops[n2]: o(b, g), f)
-                    assert z.is_zero()
+        cases.append((q, f))
+    ok, _, detail = suites.bracket_table(cases)
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
     _announce("4.bracket_table", True,
@@ -237,17 +153,9 @@ def test_criterion_5_symbol_equivariance_and_dirac():
     t0 = time.perf_counter()
     from conftest import rand_sl2
     from superkit.spin_geometry import act_on_momentum, spin_action_endo
-    worst = 0.0
-    for _ in range(30):
-        m = rng.uniform(0.3, 4.0)
-        p = rand_onshell_float(rng, m)
-        rest = (m, 0.0, 0.0, 0.0)
-        for closed, restop in ((sym.zeta_d2(p), build_d2(gamma_pair(rest))),
-                               (sym.zeta_dbar2(p), build_dbar2(gamma_pair(rest))),
-                               (sym.zeta_i2(p), build_i2(gamma_pair(rest)))):
-            prop = sym.propagate(restop, p, m)
-            worst = max(worst, (closed - prop).max_abs() / max(1.0, m * m))
-    assert worst <= 1e-9, f"route error {worst}"
+    ok, worst, _ = suites.propagation_route(
+        [rand_shell_sample(rng) for _ in range(30)], 1e-9)
+    assert ok, f"route error {worst}"
     for _ in range(10):
         h = rand_sl2(rng)
         p = tuple(rng.uniform(-2, 2) for _ in range(4))
@@ -258,11 +166,8 @@ def test_criterion_5_symbol_equivariance_and_dirac():
         rhs = rho @ sym.zeta_d2(p) @ rho_inv
         scale = max(1.0, lhs.max_abs())
         assert (lhs - rhs).max_abs() / scale <= 1e-9
-    for _ in range(50):
-        m = rng.uniform(0.3, 4.0)
-        p = rand_onshell_float(rng, m)
-        assert sym.dirac_kernel_dim(p, m) == 2
-        assert sym.dirac_kernel_dim((2 * p[0], *p[1:]), m) == 0
+    ok, _, detail = suites.dirac_kernel([rand_shell_sample(rng) for _ in range(50)])
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _announce("5.symbols", True,
@@ -275,15 +180,9 @@ def test_criterion_5_symbol_equivariance_and_dirac():
 def test_criterion_6_superspin0_elimination():
     rng = random.Random(8)
     t0 = time.perf_counter()
-    for _ in range(20):
-        p = rand_momentum(rng)
-        m = F2(rng.randint(1, 4), rng.randint(1, 2))
-        repc = sym.superspin0_constraints(p, m)
-        assert repc.bosonic_factor == coerce(minkowski_norm2(p)) - coerce(m) * coerce(m)
-    rest = sym.superspin0_constraints((1, 0, 0, 0), 1)
-    rf = rest.rest_frame_fermionic()
-    assert rf[0][0] == 0 and rf[0][1] == 1     # conj(psi_1) = psi_2
-    assert rf[1][0] == -1 and rf[1][1] == 0    # conj(psi_2) = -psi_1
+    ok, _, detail = suites.superspin0_elimination(
+        [(rand_momentum(rng), F2(rng.randint(1, 4), rng.randint(1, 2))) for _ in range(20)])
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _announce("6.superspin0_elimination", True,

@@ -1,17 +1,16 @@
-from conftest import rand_pairing, rand_qc
+from conftest import rand_qc
 
+from superkit import suites
 from superkit.exactnum import QC
-from superkit.grassmann import (EPS, DIM, EndoW, MONOMIALS, Multivector,
+from superkit.grassmann import (DIM, EndoW, MONOMIALS, Multivector,
                                 PairingMatrix, anticommutator, build_d, build_d2,
                                 build_d2_factorized, build_dbar, build_dbar2,
-                                build_dbar2_factorized, build_e2, build_ext_minus,
-                                build_i2, build_int_minus, build_int_plus, build_q,
-                                build_qbar, chiral_kernel, chiral_kernel_nullspace,
-                                conjugate_w, contract_gen, degree, ext_minus,
-                                ext_plus, int_minus, int_plus, koszul_sign, mono_mask,
-                                mono_key, mask_from_key, parity, plus_set, minus_set,
-                                wedge_gen)
-from superkit import linalg
+                                build_dbar2_factorized, build_e2, build_i2,
+                                build_q, chiral_kernel, conjugate_w, contract_gen, degree,
+                                ext_minus, ext_plus, int_minus, int_plus, koszul_sign,
+                                mono_mask, mono_key, mask_from_key, parity, plus_set,
+                                minus_set, wedge_gen)
+from superkit.suites import rand_pairing
 
 
 # -- independent sign oracle --------------------------------------------------
@@ -141,13 +140,8 @@ def test_build_dbar_two_summands():
 
 def test_anticommutators_rest_and_random(rng):
     pairings = [ID] + [rand_pairing(rng) for _ in range(20)]
-    for B in pairings:
-        for a in (1, 2):
-            for b in (1, 2):
-                lhs = anticommutator(build_int_plus(a, B), build_ext_minus(b))
-                assert lhs == B[a, b] * EndoW.identity()
-                assert anticommutator(build_int_plus(a, B), build_int_plus(b, B)).is_zero()
-                assert anticommutator(build_ext_minus(a), build_ext_minus(b)).is_zero()
+    assert suites.anticommutation_ie(pairings)[0]
+    assert suites.anticommutation_ii_ee(pairings)[0]
 
 
 def test_d_dbar_clifford_relation(rng):
@@ -163,20 +157,11 @@ def test_d_dbar_clifford_relation(rng):
 
 def test_susy_invariance(rng):
     pairings = [ID] + [rand_pairing(rng) for _ in range(20)]
-    for B in pairings:
-        for a in (1, 2):
-            for b in (1, 2):
-                for qop in (build_q(a, B), build_qbar(a, B)):
-                    for dop in (build_d(b, B), build_dbar(b, B)):
-                        assert anticommutator(qop, dop).is_zero()
+    assert suites.susy_invariance(pairings)[0]
 
 
 def test_parity_pattern(rng):
-    B = rand_pairing(rng)
-    assert build_d(1, B).parity() == "odd"
-    assert build_qbar(2, B).parity() == "odd"
-    assert build_d2(B).parity() == "even"
-    assert build_dbar2(B).parity() == "even"
+    assert suites.parity_bookkeeping(rand_pairing(rng))[0]
 
 
 # -- second-order operators ------------------------------------------------------
@@ -222,15 +207,8 @@ def test_d2_factorized_form_differs(rng):
 
 def test_chiral_kernel_nullspace_dimension(rng):
     pairings = [ID] + [rand_pairing(rng) for _ in range(20)]
-    for B in pairings:
-        ns = chiral_kernel_nullspace(B)
-        assert len(ns) == 4
-        ker = chiral_kernel(B)
-        d1, d2 = build_dbar(1, B), build_dbar(2, B)
-        for v in ker:
-            assert d1(v).is_zero() and d2(v).is_zero()
-        assert linalg.same_span([v.to_vector() for v in ker],
-                                [v.to_vector() for v in ns])
+    ok, _, detail = suites.chiral_kernel(pairings)
+    assert ok, detail
 
 
 def test_chiral_kernel_f_vector():

@@ -118,9 +118,15 @@ def test_pipeline_rest_momentum(capsys):
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
-def test_pipeline_off_orbit_usage(capsys):
-    code, _ = run(capsys, "pipeline", "--mass", "1", "--momentum", "[2,0,0,0]")
-    assert code == 2
+@pytest.mark.parametrize("momentum", [
+    "[2,0,0,0]",
+    # exact and off shell by 2e-10: within float tolerance, but never exact
+    "[[10000000001,10000000000],0,0,0]",
+], ids=["integer", "exact-near-shell"])
+def test_pipeline_off_orbit_usage(capsys, momentum):
+    assert main(["pipeline", "--mass", "1", "--momentum", momentum]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("off orbit: ") and len(err.strip().splitlines()) == 1
 
 
 def test_pipeline_boosted_float_momentum(capsys):
@@ -169,3 +175,20 @@ def test_bad_numeric_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith(f"superkit {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+def test_bad_superkit_tol_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SUPERKIT_TOL", value)
+    assert main(["orbit-classify", "--momentum", "[0,0,0,0]"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()] and err.startswith("superkit: SUPERKIT_TOL: ")
+
+
+def test_superkit_tol_is_read_when_main_runs(capsys, monkeypatch):
+    import math
+    q = f"[{math.cosh(1)},{math.sinh(1)},0.0,0.0]"
+    monkeypatch.setenv("SUPERKIT_TOL", "0")
+    code, _ = run(capsys, "pipeline", "--mass", "1", "--momentum", q)
+    assert code == 1    # float residuals are never exactly 0

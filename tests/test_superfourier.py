@@ -5,21 +5,17 @@ from hypothesis import given, strategies as st
 
 from conftest import rand_momentum, rand_qc, rand_superfunction
 
-from superkit import conventions
+from superkit import suites
 from superkit.exactnum import QC
 from superkit.grassmann import MONOMIALS, Multivector, mono_mask
-from superkit.spin_geometry import gamma_lower
+from superkit.suites import STAR_DISPLAY, rand_even, rand_superpoint
 from superkit.superfourier import (AuxGrassmann, GradeMismatch, MomentumKey,
                                    PlaneWaveFn,
                                    SideMismatch, SuperFunction, SuperPoint,
-                                   apply_D, apply_D2, apply_Dbar, apply_Dbar2,
-                                   apply_P, apply_Q, apply_Qbar,
-                                   apply_zeta_momentum, berezin_integral,
-                                   body_restriction, exchange_check,
-                                   graded_bracket, group_law, hodge_star,
-                                   inverse_super_ft, single_wave, super_ft,
+                                   apply_D, apply_D2, apply_Q,
+                                   berezin_integral, group_law,
+                                   single_wave, super_ft,
                                    theta_derivative, theta_multiply)
-from superkit.symbols import zeta_d2_action, zeta_dbar_action
 
 F2 = Fraction
 TOP = mono_mask((1, 2), (1, 2))
@@ -109,37 +105,14 @@ def test_planewave_equality_independent_of_key_construction(q, re, im):
 
 # -- Hodge star ------------------------------------------------------------------
 
-STAR_CASES = [
-    (mono_mask((), ()), TOP, QC(1)),
-    (mono_mask((1,), ()), mono_mask((1,), (1, 2)), QC(0, 1)),
-    (mono_mask((2,), ()), mono_mask((2,), (1, 2)), QC(0, 1)),
-    (mono_mask((), (1,)), mono_mask((1, 2), (1,)), QC(0, 1)),
-    (mono_mask((), (2,)), mono_mask((1, 2), (2,)), QC(0, 1)),
-    (mono_mask((1, 2), ()), mono_mask((), (1, 2)), QC(1)),
-    (mono_mask((), (1, 2)), mono_mask((1, 2), ()), QC(1)),
-    (mono_mask((1,), (1,)), mono_mask((1,), (1,)), QC(-1)),
-    (mono_mask((1,), (2,)), mono_mask((1,), (2,)), QC(-1)),
-    (mono_mask((2,), (1,)), mono_mask((2,), (1,)), QC(-1)),
-    (mono_mask((2,), (2,)), mono_mask((2,), (2,)), QC(-1)),
-    (mono_mask((1, 2), (1,)), mono_mask((), (1,)), QC(0, 1)),
-    (mono_mask((1, 2), (2,)), mono_mask((), (2,)), QC(0, 1)),
-    (mono_mask((1,), (1, 2)), mono_mask((1,), ()), QC(0, 1)),
-    (mono_mask((2,), (1, 2)), mono_mask((2,), ()), QC(0, 1)),
-    (TOP, mono_mask((), ()), QC(1)),
-]
-
-
-@pytest.mark.parametrize("src,tgt,fac", STAR_CASES)
+@pytest.mark.parametrize("src,tgt,fac", STAR_DISPLAY)
 def test_hodge_star_all_sixteen(src, tgt, fac):
-    assert hodge_star(Multivector.basis(src)) == Multivector.basis(tgt, fac)
+    assert suites.hodge_star_table([], [(src, tgt, fac)])[0]
 
 
 def test_hodge_star_fourth_power_identity(rng):
     mv = Multivector({m: rand_qc(rng) for m in MONOMIALS})
-    out = mv
-    for _ in range(4):
-        out = hodge_star(out)
-    assert out == mv
+    assert suites.hodge_star_table([mv], [])[0]
 
 
 # -- transform --------------------------------------------------------------------
@@ -163,9 +136,7 @@ def test_super_ft_side_check(rng):
 
 
 def test_round_trip(rng):
-    for _ in range(5):
-        f = rand_superfunction(rng, 2)
-        assert inverse_super_ft(super_ft(f)) == f
+    assert suites.ft_round_trip([rand_superfunction(rng, 2) for _ in range(5)])[0]
 
 
 def test_berezin_and_body(rng):
@@ -175,8 +146,7 @@ def test_berezin_and_body(rng):
     assert berezin_integral(f) == g
     assert berezin_integral(single_wave(mono_mask((1,), ()), QC(1), q)).is_zero()
     for _ in range(5):
-        h = rand_superfunction(rng)
-        assert body_restriction(h) == berezin_integral(super_ft(h))
+        assert suites.body_vs_berezin([rand_superfunction(rng)])[0]
         a, b = rand_qc(rng), rand_qc(rng)
         f1, f2 = rand_superfunction(rng), rand_superfunction(rng)
         lin = berezin_integral(a * f1 + b * f2)
@@ -206,67 +176,34 @@ def test_exchange_identities_hand_case():
 
 
 def test_exchange_identities_random(rng):
-    for _ in range(30):
-        f = rand_superfunction(rng)
-        rep = exchange_check(f)
-        assert all(v == 0 for v in rep.values()), rep
+    ok, worst, _ = suites.exchange_identities([rand_superfunction(rng) for _ in range(30)])
+    assert ok, worst
 
 
 def test_bracket_table(rng):
-    ops = {"Q": apply_Q, "Qbar": apply_Qbar, "D": apply_D, "Dbar": apply_Dbar}
-    vanishing = (("Q", "Q"), ("Qbar", "Qbar"), ("D", "D"), ("Dbar", "Dbar"),
-                 ("Q", "D"), ("Q", "Dbar"), ("Qbar", "D"), ("Qbar", "Dbar"))
+    cases = []
     for _ in range(10):
         q = rand_momentum(rng)
-        gl = gamma_lower(q)
-        for mask in (0, 6, 9, 15):
-            f = single_wave(mask, QC(1), q)
-            for a in (1, 2):
-                for b in (1, 2):
-                    qq = graded_bracket(lambda g, a=a: apply_Q(a, g),
-                                        lambda g, b=b: apply_Qbar(b, g), f)
-                    dd = graded_bracket(lambda g, a=a: apply_D(a, g),
-                                        lambda g, b=b: apply_Dbar(b, g), f)
-                    assert qq == (-2 * gl[a - 1][b - 1]) * f
-                    assert dd == (2 * gl[a - 1][b - 1]) * f
-                    for n1, n2 in vanishing:
-                        z = graded_bracket(lambda g, a=a, o=ops[n1]: o(a, g),
-                                           lambda g, b=b, o=ops[n2]: o(b, g), f)
-                        assert z.is_zero(), (n1, n2, a, b)
+        cases += [(q, single_wave(mask, QC(1), q)) for mask in (0, 6, 9, 15)]
+    ok, _, detail = suites.bracket_table(cases)
+    assert ok, detail
 
 
 def test_p_commutes(rng):
-    q = rand_momentum(rng)
-    f = single_wave(5, QC(1, 2), q)
-    for mu in range(4):
-        for op in (apply_Q, apply_Qbar, apply_D, apply_Dbar):
-            for a in (1, 2):
-                assert (apply_P(mu, op(a, f)) - op(a, apply_P(mu, f))).is_zero()
+    assert suites.p_brackets([single_wave(5, QC(1, 2), rand_momentum(rng))])[0]
 
 
 # -- intertwining --------------------------------------------------------------------
 
 def test_dbar_intertwining(rng):
-    for _ in range(20):
-        f = rand_superfunction(rng)
-        fhat = super_ft(f)
-        for a in (1, 2):
-            lhs = super_ft(apply_Dbar(a, f))
-            rhs = SuperFunction({}, "momentum")
-            for b in (1, 2):
-                e = conventions.EPS_LOWER[a - 1][b - 1]
-                if e:
-                    rhs = rhs + QC(0, e) * apply_zeta_momentum(
-                        lambda p, b=b: zeta_dbar_action(p, b), fhat)
-            assert lhs == rhs
+    ok, _, detail = suites.zeta_intertwining([rand_superfunction(rng) for _ in range(20)])
+    assert ok, detail
 
 
 def test_d2_intertwining(rng):
-    for _ in range(20):
-        f = rand_superfunction(rng)
-        lhs = super_ft(apply_D2(f))
-        rhs = (-1) * apply_zeta_momentum(zeta_d2_action, super_ft(f))
-        assert lhs == rhs
+    # the same check as above, on two plane waves per component
+    ok, _, detail = suites.zeta_intertwining([rand_superfunction(rng, 2) for _ in range(20)])
+    assert ok, detail
 
 
 def test_d2_on_constant_superfunction_vs_rest_contraction():
@@ -299,35 +236,13 @@ def test_grasselt_algebra():
 
 def test_group_law_properties(rng):
     alg = AuxGrassmann(4)
-
-    def rand_even():
-        out = alg.scalar(rng.randint(-3, 3))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                out = out + rng.randint(-2, 2) * (alg.gen(i) * alg.gen(j))
-        return out
-
-    def rand_odd():
-        out = alg.element({})
-        for i in range(4):
-            out = out + rng.randint(-2, 2) * alg.gen(i)
-        return out
-
-    def rand_point():
-        return SuperPoint([rand_even() for _ in range(4)],
-                          [rand_odd(), rand_odd()], [rand_odd(), rand_odd()])
-
-    zero = SuperPoint([alg.scalar(0)] * 4, [alg.element({})] * 2,
-                      [alg.element({})] * 2)
-    for _ in range(8):
-        u, v, w = rand_point(), rand_point(), rand_point()
-        assert group_law(u, zero) == u and group_law(zero, u) == u
-        assert group_law(u, u.negate()) == zero
-        assert group_law(group_law(u, v), w) == group_law(u, group_law(v, w))
+    ok, _, detail = suites.cbh_group_law(
+        [tuple(rand_superpoint(rng, alg) for _ in range(3)) for _ in range(8)])
+    assert ok, detail
     # purely even points add coordinate-wise
-    u = SuperPoint([rand_even() for _ in range(4)], [alg.element({})] * 2,
+    u = SuperPoint([rand_even(rng, alg) for _ in range(4)], [alg.element({})] * 2,
                    [alg.element({})] * 2)
-    v = SuperPoint([rand_even() for _ in range(4)], [alg.element({})] * 2,
+    v = SuperPoint([rand_even(rng, alg) for _ in range(4)], [alg.element({})] * 2,
                    [alg.element({})] * 2)
     s = group_law(u, v)
     assert all(s.y[i] == u.y[i] + v.y[i] for i in range(4))

@@ -1,21 +1,20 @@
-import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import ONSHELL_EXACT, rand_momentum, rand_onshell_float
+from conftest import ONSHELL_EXACT, rand_momentum
 
-from superkit import linalg
+from superkit import linalg, suites
 from superkit.exactnum import as_complex, coerce
-from superkit.grassmann import (Multivector, build_d2, build_dbar2, build_i2,
-                                mono_mask)
+from superkit.grassmann import Multivector, build_d2, mono_mask
 from superkit.spin_geometry import gamma_pair, minkowski_norm2
+from superkit.suites import rand_onshell, rand_shell_sample
 from superkit.symbols import (DegenerateOrder, dirac_kernel_dim,
                               dirac_symbol, divergence_kernel_dim, divergence_symbol,
                               gamma_matrix, multiplicity, propagate,
-                              superspin0_constraints, sym_tensor_dim, zeta_d,
-                              zeta_d2, zeta_dbar, zeta_dbar2, zeta_i2, zeta_int)
+                              superspin0_constraints, sym_tensor_dim,
+                              zeta_d2, zeta_i2, zeta_int)
 
 B12 = mono_mask((), (1, 2))
 F2 = Fraction
@@ -57,15 +56,8 @@ def test_zeta_d2_display_on_chiral_element(rng):
 
 
 def test_propagation_route_equivalence(rng):
-    for _ in range(30):
-        m = rng.uniform(0.3, 4.0)
-        p = rand_onshell_float(rng, m)
-        rest = (m, 0.0, 0.0, 0.0)
-        for closed, restop in ((zeta_d2(p), build_d2(gamma_pair(rest))),
-                               (zeta_dbar2(p), build_dbar2(gamma_pair(rest))),
-                               (zeta_i2(p), build_i2(gamma_pair(rest)))):
-            prop = propagate(restop, p, m)
-            assert (closed - prop).max_abs() <= 1e-9 * max(1.0, m * m)
+    ok, worst, _ = suites.propagation_route([rand_shell_sample(rng) for _ in range(30)], 1e-9)
+    assert ok, worst
 
 
 def test_propagate_at_rest_is_identity_map():
@@ -107,11 +99,8 @@ def test_dirac_kernel_dims():
 
 
 def test_dirac_kernel_dims_float(rng):
-    for _ in range(50):
-        m = rng.uniform(0.3, 4.0)
-        p = rand_onshell_float(rng, m)
-        assert dirac_kernel_dim(p, m) == 2
-        assert dirac_kernel_dim((2 * p[0], *p[1:]), m) == 0
+    ok, _, detail = suites.dirac_kernel([rand_shell_sample(rng) for _ in range(50)])
+    assert ok, detail
 
 
 def test_divergence_rest_trace_pairing():
@@ -175,25 +164,15 @@ def test_divergence_errors():
 
 
 def test_superspin0_factors(rng):
-    for _ in range(10):
-        p = rand_momentum(rng)
-        m = F2(rng.randint(1, 3))
-        rep = superspin0_constraints(p, m)
-        n2 = coerce(minkowski_norm2(p))
-        assert rep.bosonic_factor == n2 - coerce(m) * coerce(m)
-        assert rep.fermionic_factor_paired == coerce(m) * coerce(m) - n2
-        assert rep.fermionic_factor_pointwise == coerce(m) * coerce(m) + n2
-        # N bar N = -det(B) Id exactly
-        comp = rep.fermionic_comp
-        assert comp[0][0] == -n2 and comp[1][1] == -n2
-        assert comp[0][1] == 0 and comp[1][0] == 0
+    ok, _, detail = suites.superspin0_elimination(
+        [(rand_momentum(rng), F2(rng.randint(1, 3))) for _ in range(10)])
+    assert ok, detail
 
 
 def test_superspin0_rest_frame_reduction():
-    rep = superspin0_constraints((1, 0, 0, 0), 1)
-    rf = rep.rest_frame_fermionic()
-    assert rf[0][0] == 0 and rf[0][1] == 1
-    assert rf[1][0] == -1 and rf[1][1] == 0
+    # with no samples, the check is the rest-frame reduction alone
+    ok, _, detail = suites.superspin0_elimination([])
+    assert ok, detail
 
 
 def test_superspin0_solution_dims():
@@ -220,7 +199,7 @@ def test_dirac_symbol_propagation_route(rng):
     from superkit.symbols import dirac_spin_matrix
     for _ in range(10):
         m = rng.uniform(0.4, 3.0)
-        p = rand_onshell_float(rng, m)
+        p = rand_onshell(rng, m)
         h = rest_boost(p, m)
         s = [[as_complex(x) for x in row] for row in dirac_spin_matrix(h)]
         s_inv = [[as_complex(x) for x in row]
