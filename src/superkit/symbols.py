@@ -218,11 +218,12 @@ class Superspin0Report:
         """At p = m e^0 the system reduces to (conj(psi1), conj(psi2)) = M psi / m."""
         return [[x / self.m for x in row] for row in self.fermionic_matrix]
 
-    def solution_dims_paired(self):
+    def solution_dims_paired(self, tol=1e-9):
         """Complex dimensions (bosonic, fermionic) of the two-frequency
-        on-shell solution space: one free phi pair and one free psi pair."""
+        on-shell solution space: one free phi pair and one free psi pair.
+        A float bosonic factor counts as zero below ``tol``."""
         on_shell = scal_is_zero(self.bosonic_factor) if is_exact(self.bosonic_factor) \
-            else abs(as_complex(self.bosonic_factor)) < 1e-9
+            else abs(as_complex(self.bosonic_factor)) < tol
         return (2, 2) if on_shell else (0, 0)
 
     def as_dict(self):

@@ -199,18 +199,10 @@ def test_criterion_7_component_reduction():
     for p in (ONSHELL_EXACT[0], ONSHELL_EXACT[1]):
         wz_kernel = linalg.null_space(cmp._wz_columns(p, 1))
         pneg = tuple(-x for x in p)
-
-        def field(idx, val):
-            zero = sft.PlaneWaveFn.zero()
-            data = [zero] * 8
-            data[idx] = sft.PlaneWaveFn({(p if idx % 2 == 0 else pneg): val})
-            return cmp.ChiralData(data[0] + data[1],
-                                  (data[2] + data[3], data[4] + data[5]),
-                                  data[6] + data[7])
         cols = []
         for idx in range(8):
             for val in (QC(1), QC(0, 1)):
-                c = field(idx, val)
+                c = cmp._unit_chiral(p, idx, val)
                 res = [cmp.kg_residual(c, 1), cmp.f_residual(c, 1),
                        *cmp.dirac_residual(c, 1)]
                 col = []

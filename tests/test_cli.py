@@ -118,6 +118,27 @@ def test_pipeline_rest_momentum(capsys):
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_pipeline_grid_at_rest(capsys, seed):
+    # the refined grid must cover the same domain, or the kg ratio mixes the
+    # domain with the order of the scheme (5.32 at seed 0 on half the domain)
+    code, out = run(capsys, "pipeline", "--mass", "1", "--momentum", "[1,0,0,0]",
+                    "--grid", "9,0.2", "--seed", str(seed), "--json")
+    assert code == 0
+    grid = {c["id"]: c for c in json.loads(out)["checks"]}["grid_convergence"]
+    assert grid["status"] == "pass" and grid["detail"].startswith("kg ratio ")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "wz-check"])
+def test_superkit_tol_reaches_the_shell_test(capsys, monkeypatch, command):
+    argv = [command, "--mass", "1", "--momentum", "[1.000001,0.0,0.0,0.0]"]
+    monkeypatch.delenv("SUPERKIT_TOL", raising=False)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("off orbit: ")
+    monkeypatch.setenv("SUPERKIT_TOL", "1e-3")
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("momentum", [
     "[2,0,0,0]",
     # exact and off shell by 2e-10: within float tolerance, but never exact

@@ -1,17 +1,21 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import ONSHELL_EXACT, rand_momentum, rand_qc, rand_sl2
 
-from superkit import linalg
+from superkit import conventions, linalg
 from superkit.components import (ChiralData, Grid4, GridTooSmall, NotChiral,
                                  chiral_expand, component_reduce, conjugate_sf,
                                  dirac_residual, extract_chiral, f_residual,
                                  grid_residual, is_chiral, kg_residual,
                                  residuals_vanish, solution_generator, wz_conjugate,
-                                 wz_equivalence_check, wz_operator, _wz_columns)
-from superkit.exactnum import QC, coerce, conj
+                                 wz_equivalence_check, wz_operator, _unit_chiral,
+                                 _wz_columns)
+from superkit.exactnum import QC, as_complex, coerce, conj
 from superkit.grassmann import mono_mask
 from superkit.spin_geometry import OffOrbit, act_on_momentum, gamma_lower, \
     minkowski_norm2, rest_boost, spin_action_endo
@@ -160,18 +164,10 @@ def test_wz_kernel_equals_component_system(rng):
         wz_mat = _wz_columns(p, 1)
         wz_kernel = linalg.null_space(wz_mat)
         pneg = tuple(-x for x in p)
-
-        def field(idx, val):
-            zero = PlaneWaveFn.zero()
-            data = [zero] * 8
-            data[idx] = PlaneWaveFn({(p if idx % 2 == 0 else pneg): val})
-            return ChiralData(data[0] + data[1], (data[2] + data[3],
-                                                  data[4] + data[5]),
-                              data[6] + data[7])
         cols = []
         for idx in range(8):
             for val in (QC(1), QC(0, 1)):
-                c = field(idx, val)
+                c = _unit_chiral(p, idx, val)
                 res = [kg_residual(c, 1), f_residual(c, 1), *dirac_residual(c, 1)]
                 col = []
                 for r in res:
@@ -257,6 +253,68 @@ def test_grid_residual_zero_fields_and_off_shell():
                      (PlaneWaveFn.zero(), PlaneWaveFn.zero()), PlaneWaveFn.zero())
     r = grid_residual(off, 1, Grid4(7, 0.02))
     assert abs(r["max_kg"] - abs(1 - 6)) < 0.05
+
+
+def _stencil_residual(c, m, grid):
+    """Reference for grid_residual: sample each field on the whole grid, take
+    np.roll central differences and the max norm over the interior."""
+    axes = [grid.origin[mu] + grid.h * np.arange(grid.n) for mu in range(4)]
+    x = np.meshgrid(*axes, indexing="ij", sparse=True)
+
+    def sample(pw):
+        out = np.zeros((grid.n,) * 4, dtype=complex)
+        for q, a in pw.terms.items():
+            out = out + as_complex(a) * np.exp(1j * sum(float(k) * xk for k, xk in zip(q, x)))
+        return out
+
+    def diff(arr, mu):
+        return (np.roll(arr, -1, mu) - np.roll(arr, 1, mu)) / (2 * grid.h)
+
+    def diff2(arr, mu):
+        return (np.roll(arr, -1, mu) - 2 * arr + np.roll(arr, 1, mu)) / grid.h ** 2
+
+    def interior_max(arr):
+        return float(np.abs(arr[(slice(1, -1),) * 4]).max())
+
+    phi, psi = sample(c.phi), [sample(c.psi[0]), sample(c.psi[1])]
+    kg = diff2(phi, 0) - diff2(phi, 1) - diff2(phi, 2) - diff2(phi, 3) + float(m) ** 2 * phi
+    eps, s = conventions.EPS_UPPER, conventions.WZ_MASS_SIGN
+    raised = [sum(eps[b][cc] * np.conj(psi[cc]) for cc in range(2)) for b in range(2)]
+    dirac = []
+    for a in range(2):
+        res = s * float(m) * psi[a]
+        for b in range(2):
+            for mu, v in enumerate(conventions.GAMMA_LOWER[a][b]):
+                res = res + 1j * as_complex(v) * diff(raised[b], mu)
+        dirac.append(interior_max(res))
+    return {"max_kg": interior_max(kg), "max_dirac": max(dirac)}
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_grid_residual_matches_stencil(n):
+    rng = random.Random(n)
+    eta = 1.3
+    boosted = (math.cosh(eta), 0.0, math.sinh(eta) * 0.6, math.sinh(eta) * 0.8)
+    q = tuple(rng.uniform(-2, 2) for _ in range(4))
+    waves = [PlaneWaveFn.wave(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), q)
+             for _ in range(4)]
+    cases = [
+        # on-shell two-frequency solutions, exact and float coefficients
+        solution_generator(rng.choice(ONSHELL_EXACT), 1, seed_a=rand_qc(rng),
+                           seed_u=(rand_qc(rng), rand_qc(rng))),
+        solution_generator(boosted, 1.0, seed_a=complex(rng.uniform(-1, 1), 0.4),
+                           seed_u=(1.0, complex(0.3, rng.uniform(-1, 1)))),
+        # a single off-shell wave in every field, exact and float
+        _rand_chiral(rng, [rand_momentum(rng)]),
+        ChiralData(waves[0], (waves[1], waves[2]), waves[3]),
+    ]
+    for c in cases:
+        for grid in (Grid4(n, rng.uniform(0.1, 0.3)),
+                     Grid4(n, rng.uniform(0.1, 0.3),
+                           origin=tuple(rng.uniform(-3, 3) for _ in range(4)))):
+            got, ref = grid_residual(c, 1, grid), _stencil_residual(c, 1, grid)
+            for key in ("max_kg", "max_dirac"):
+                assert abs(got[key] - ref[key]) <= 1e-9 * ref[key], (key, got, ref)
 
 
 # -- representability over Lambda_N -----------------------------------------------------
