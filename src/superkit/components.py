@@ -222,6 +222,7 @@ def solution_generator(p, m, seed_a=1, seed_u=(1, 0), tol=1e-9):
             m2 + sum(float(x) ** 2 for x in p))
         if abs(float(n2) - m2) > slack or p[0] <= 0:
             raise OffOrbit(f"|p|^2 = {n2} != m^2")
+    p = MomentumKey(p)  # one key for +p and, memoized, one for -p
     a = coerce(seed_a)
     u = (coerce(seed_u[0]), coerce(seed_u[1]))
     s = conventions.WZ_MASS_SIGN

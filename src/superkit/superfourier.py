@@ -9,7 +9,7 @@ Fourier transform is the symplectic Hodge star.
 
 from __future__ import annotations
 
-from . import conventions
+from . import conventions, grassmann
 from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
 from .grassmann import (MONOMIALS, Multivector, apply_generators, koszul_sign,
                         mono_key, mono_mask, mask_from_key, minus_set, plus_set)
@@ -31,7 +31,9 @@ class MomentumKey(tuple):
 
     It equals the plain tuple and hashes the same, so plain tuples still find
     its terms; hashing four exact Fractions on every dict operation is what it
-    saves.  ``MomentumKey(k)`` returns ``k`` itself when it already is one.
+    saves.  ``MomentumKey(k)`` returns ``k`` itself when it already is one, and
+    ``-k`` is built once, so ``-(-k) is k``: a sum over the frequencies +-q
+    keeps two key objects, and its dict hits compare by identity.
     """
 
     def __new__(cls, q):
@@ -39,13 +41,17 @@ class MomentumKey(tuple):
             return q
         key = tuple.__new__(cls, q)
         key._hash = tuple.__hash__(key)
+        key._neg = None
         return key
 
     def __hash__(self):
         return self._hash
 
     def __neg__(self):
-        return MomentumKey(-x for x in self)
+        if self._neg is None:
+            neg = MomentumKey(-x for x in self)
+            neg._neg, self._neg = self, neg
+        return self._neg
 
 
 class PlaneWaveFn:
@@ -139,10 +145,15 @@ class PlaneWaveFn:
 
     @classmethod
     def from_json(cls, rows):
-        out = cls.zero()
+        """Rows [re, im, p0, p1, p2, p3, sign]; rows at one momentum sum."""
+        terms = {}
         for re, im, p0, p1, p2, p3, sign in rows:
-            out = out + cls.wave(complex(re, im), (p0, p1, p2, p3), int(sign))
-        return out
+            q = MomentumKey((p0, p1, p2, p3))
+            if int(sign) < 0:
+                q = -q
+            a, prev = complex(re, im), terms.get(q)
+            terms[q] = a if prev is None else prev + a
+        return cls(terms)
 
     def __repr__(self):
         return f"PlaneWaveFn({self.terms!r})"
@@ -316,40 +327,66 @@ def apply_P(mu, f):
     return SuperFunction({m: g.derivative(mu) for m, g in f.comps.items()}, f.side)
 
 
-def _gamma_term(a, f, barred, sign):
-    """sign * i * Gamma^mu_{ab} (other theta)^b d/dx^mu f, summed over b."""
-    out = SuperFunction({}, f.side)
-    for b in (1, 2):
-        vec = conventions.GAMMA_LOWER[b - 1][a - 1] if barred \
-            else conventions.GAMMA_LOWER[a - 1][b - 1]
-        dg = SuperFunction({m: g.gamma_derivative(vec) for m, g in f.comps.items()},
-                           f.side)
-        out = out + QC(0, sign) * theta_multiply(b, dg, barred=not barred)
-    return out
+def _odd_operator(a, f, barred, sign):
+    """d/dtheta^a + sign i Gamma^mu_{ab} thetabar^b d/dx^mu on f; when barred,
+    d/dthetabar^a + sign i Gamma^mu_{ba} theta^b d/dx^mu.
+
+    On a plane wave at q this is a symbol: the contraction by the a-th
+    generator plus, for each b, the wedge by the other b-th generator scaled
+    by -sign <q, Gamma>, since i * i q_mu = -q_mu.  The tables are read
+    through their modules on every call, so a patched table takes effect.
+    """
+    table = grassmann.GEN_TABLE
+    gamma = conventions.GAMMA_LOWER
+    # (generator, contract, covector): both wedges, then the contraction, so a
+    # float slot sums as (w1 + w2) + c, in the order of the composed operator
+    terms = [((b - 1) + (0 if barred else 2), False,
+              gamma[b - 1][a - 1] if barred else gamma[a - 1][b - 1]) for b in (1, 2)]
+    terms.append(((a - 1) + (2 if barred else 0), True, None))
+    out = {}
+    for gen, contract, vec in terms:
+        scales = {}     # momentum -> -sign <q, vec>, paired once per momentum
+        for mask, g in f.comps.items():
+            if (mask >> gen & 1) != contract:
+                continue
+            sgn, nm = table[gen][mask]
+            tgt = out.setdefault(nm, {})
+            for q, c in g.terms.items():
+                if vec is not None:
+                    s = scales.get(q)
+                    if s is None:
+                        s = pair_covector(q, vec)
+                        s = scales[q] = s if sign < 0 else -s
+                    c = c * s
+                if sgn < 0:
+                    c = -c
+                prev = tgt.get(q)
+                tgt[q] = c if prev is None else prev + c
+    return SuperFunction({m: PlaneWaveFn(t) for m, t in out.items()}, f.side)
 
 
 def apply_Q(a, f):
     """Q_a = d/dtheta^a + i Gamma^mu_{ab} thetabar^b d/dx^mu."""
     f.require_side("position")
-    return theta_derivative(a, f) + _gamma_term(a, f, barred=False, sign=1)
+    return _odd_operator(a, f, barred=False, sign=1)
 
 
 def apply_Qbar(a, f):
     """Qbar_a = d/dthetabar^a + i Gamma^mu_{ba} theta^b d/dx^mu."""
     f.require_side("position")
-    return theta_derivative(a, f, barred=True) + _gamma_term(a, f, barred=True, sign=1)
+    return _odd_operator(a, f, barred=True, sign=1)
 
 
 def apply_D(a, f):
     """D_a = d/dtheta^a - i Gamma^mu_{ab} thetabar^b d/dx^mu."""
     f.require_side("position")
-    return theta_derivative(a, f) + _gamma_term(a, f, barred=False, sign=-1)
+    return _odd_operator(a, f, barred=False, sign=-1)
 
 
 def apply_Dbar(a, f):
     """Dbar_a = d/dthetabar^a - i Gamma^mu_{ba} theta^b d/dx^mu."""
     f.require_side("position")
-    return theta_derivative(a, f, barred=True) + _gamma_term(a, f, barred=True, sign=-1)
+    return _odd_operator(a, f, barred=True, sign=-1)
 
 
 def _eps_square(op, f, eps_upper):

@@ -227,7 +227,7 @@ def test_criterion_7_component_reduction():
     sol = cmp.solution_generator(ONSHELL_EXACT[0], 1, seed_a=QC(1, F2(1, 2)),
                                  seed_u=(QC(1), QC(0, 1)))
     r1 = cmp.grid_residual(sol, 1, cmp.Grid4(9, 0.2))
-    r2 = cmp.grid_residual(sol, 1, cmp.Grid4(9, 0.1))
+    r2 = cmp.grid_residual(sol, 1, cmp.Grid4(17, 0.1))  # the same domain at h/2
     order_kg = math.log2(r1["max_kg"] / r2["max_kg"])
     order_dirac = math.log2(r1["max_dirac"] / r2["max_dirac"])
     assert abs(order_kg - 2.0) <= 0.2 and abs(order_dirac - 2.0) <= 0.2

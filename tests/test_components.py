@@ -160,7 +160,7 @@ def test_wz_nonzero_off_shell():
 def test_wz_kernel_equals_component_system(rng):
     """wz(f) = 0 iff the Klein-Gordon, Dirac, and F residuals vanish: the two
     linear systems on two-frequency chiral data have identical kernels."""
-    for p in (P1, ONSHELL_EXACT[1]):
+    for p in (ONSHELL_EXACT[2], ONSHELL_EXACT[3]):
         wz_mat = _wz_columns(p, 1)
         wz_kernel = linalg.null_space(wz_mat)
         pneg = tuple(-x for x in p)

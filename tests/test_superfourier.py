@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 from conftest import rand_momentum, rand_qc, rand_superfunction
 
 from superkit import suites
+from superkit.conventions import GAMMA_LOWER
 from superkit.exactnum import QC
 from superkit.grassmann import MONOMIALS, Multivector, mono_mask
 from superkit.suites import STAR_DISPLAY, rand_even, rand_superpoint
 from superkit.superfourier import (AuxGrassmann, GradeMismatch, MomentumKey,
                                    PlaneWaveFn,
                                    SideMismatch, SuperFunction, SuperPoint,
-                                   apply_D, apply_D2, apply_Q,
+                                   apply_D, apply_D2, apply_Dbar, apply_Q, apply_Qbar,
                                    berezin_integral, group_law,
                                    single_wave, super_ft,
                                    theta_derivative, theta_multiply)
@@ -58,7 +59,8 @@ def test_momentum_key_equals_and_hashes_like_the_tuple(q):
     assert MomentumKey(k) is k
     nk = -k
     assert type(nk) is MomentumKey and nk == tuple(-x for x in q)
-    assert -nk == k and hash(-nk) == hash(q) and type(-nk) is MomentumKey
+    assert -nk is k and hash(nk) == hash(tuple(-x for x in q))
+    assert -k is nk and MomentumKey(nk) is nk
 
 
 @given(momenta, st.sampled_from([1, -1]))
@@ -88,6 +90,16 @@ def test_float_momentum_keys():
     assert pw.conjugate().terms[q] == QC(1)
     k = MomentumKey(q)
     assert hash(k) == hash(q) and hash(-k) == hash((-1.5, -0.25, 0.0, 2.0))
+    assert PlaneWaveFn.from_json(pw.to_json()) == pw
+
+
+def test_planewave_from_json_sums_duplicate_and_cancelling_rows():
+    rows = [[1.0, 2.0, 1, 0, 0, 0, 1], [0.5, 0.0, 1, 0, 0, 0, 1],
+            [0.25, -1.0, -1, 0, 0, 0, -1],                  # the same momentum, sign -1
+            [3.0, 0.0, 2, 0, 0, 0, 1], [-3.0, 0.0, -2, 0, 0, 0, -1],    # cancel
+            [0.0, 1.0, 0, 1, 0, 0, -1]]
+    pw = PlaneWaveFn.from_json(rows)
+    assert pw.terms == {(1, 0, 0, 0): 1.75 + 1j, (0, -1, 0, 0): 1j}
     assert PlaneWaveFn.from_json(pw.to_json()) == pw
 
 
@@ -162,6 +174,43 @@ def test_apply_d_on_constants():
     assert apply_D(1, th1) == single_wave(0, QC(1), q0)
     assert apply_D(1, th2).is_zero()
     assert apply_Q(1, th1) == single_wave(0, QC(1), q0)
+
+
+def _composed_odd_operator(a, f, barred, sign):
+    """Reference: d/dtheta^a + sign i Gamma^mu (other theta)^b d/dx^mu composed
+    from theta_derivative, gamma_derivative and theta_multiply."""
+    out = theta_derivative(a, f, barred)
+    for b in (1, 2):
+        vec = GAMMA_LOWER[b - 1][a - 1] if barred else GAMMA_LOWER[a - 1][b - 1]
+        dg = SuperFunction({m: g.gamma_derivative(vec) for m, g in f.comps.items()}, f.side)
+        out = out + QC(0, sign) * theta_multiply(b, dg, barred=not barred)
+    return out
+
+
+ODD_OPERATORS = [(apply_Q, False, 1), (apply_Qbar, True, 1),
+                 (apply_D, False, -1), (apply_Dbar, True, -1)]
+
+
+@pytest.mark.parametrize("op,barred,sign", ODD_OPERATORS)
+def test_odd_operators_equal_the_composed_route(rng, op, barred, sign):
+    for _ in range(3):
+        f = rand_superfunction(rng, nterms=3, pool=3)
+        assert max(len(g.terms) for g in f.comps.values()) > 1
+        for a in (1, 2):
+            ref = _composed_odd_operator(a, f, barred, sign)
+            assert not ref.is_zero() and op(a, f) == ref
+
+
+@pytest.mark.parametrize("op,barred,sign", ODD_OPERATORS)
+def test_odd_operators_match_the_composed_route_at_float_momenta(rng, op, barred, sign):
+    momenta = [tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(3)]
+    f = SuperFunction({}, "position")
+    for mask in MONOMIALS:
+        for q in rng.sample(momenta, 2):
+            f = f + single_wave(mask, complex(rng.gauss(0, 1), rng.gauss(0, 1)), q)
+    for a in (1, 2):
+        ref = _composed_odd_operator(a, f, barred, sign)
+        assert (op(a, f) - ref).max_abs() <= 1e-12 * ref.max_abs()
 
 
 def test_exchange_identities_hand_case():
