@@ -9,6 +9,7 @@ passed, 1 at least one failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -333,7 +334,9 @@ def _half_int(text):
     return x
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(prog="superkit",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

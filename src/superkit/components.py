@@ -384,6 +384,19 @@ def _wz_columns(p, m):
     return _twisted_matrix(*_wz_linear_antilinear(p, m), 1)
 
 
+def _lambda_module_dims(N, dims):
+    """(Lambda_N solution-module dimension, number of even monomials).
+
+    ``dims[twist]`` is the (bosonic, fermionic) kernel dimension under the
+    reversal twist +-1.  Lambda_N has comb(N, k) monomials of degree k; an
+    even one carries the bosonic part and an odd one the fermionic part of
+    the kernel twisted by (-1)^(k(k-1)/2).
+    """
+    module_dim = sum(math.comb(N, k) * dims[(-1) ** (k * (k - 1) // 2)][k % 2]
+                     for k in range(N + 1))
+    return module_dim, sum(math.comb(N, k) for k in range(0, N + 1, 2))
+
+
 def wz_equivalence_check(N, p=None, m=1):
     """Representability at coefficient level over Lambda_N.
 
@@ -400,8 +413,8 @@ def wz_equivalence_check(N, p=None, m=1):
         dim(fermionic)*#odd-monomials, i.e. the Lambda_N span of the scalar
         solution space taken with matching parities.
     """
-    if N > 6:
-        raise ValueError("N <= 6 at desk scale")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     from . import linalg
     if p is None:
         p = (Fraction(2), Fraction(1), Fraction(1), Fraction(1))
@@ -431,12 +444,7 @@ def wz_equivalence_check(N, p=None, m=1):
 
     minus_is_rotation = linalg.same_span(kernels[-1], [rotate(v) for v in kernels[1]])
     bos_dim, fer_dim = dims[1]
-    module_dim = 0
-    for mask in range(2 ** N):
-        k = bin(mask).count("1")
-        twist = (-1) ** (k * (k - 1) // 2)
-        module_dim += dims[twist][0] if k % 2 == 0 else dims[twist][1]
-    n_even = sum(1 for mask in range(2 ** N) if bin(mask).count("1") % 2 == 0)
+    module_dim, n_even = _lambda_module_dims(N, dims)
     expected = bos_dim * n_even + fer_dim * (2 ** N - n_even)
     return {
         "N": N,

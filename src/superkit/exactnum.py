@@ -11,8 +11,11 @@ form with one multi-argument ``math.gcd``; adding an ``int`` needs none.
 the read-only ``.re`` and ``.im`` return reduced ``Fraction``s.
 
 QC is closed under +, -, *, / (nonzero divisor).  Mixing a QC with a float or
-a python complex silently degrades to python ``complex``; the numeric
-spin-geometry path relies on that.  Equality with a float or complex is exact,
+a python complex silently degrades to python ``complex``.  The float symbol
+route (boosts, ``spin_action_endo``, float ``zeta_*``, ``propagate``) no longer
+needs that: it runs in numpy on ``EndoW``'s array form.  Float momenta in the
+pairing table, float superfunctions and the float Dirac and divergence kernels
+still rely on it.  Equality with a float or complex is exact,
 and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold ``a`` and
 ``b`` exactly, so equal values hash equal.
 """

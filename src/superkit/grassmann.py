@@ -10,15 +10,18 @@ graded contractions, which makes the four d/q families genuine Clifford
 creation/annihilation operators.
 
 ``koszul_sign`` is the one place that computes such a sign; every other
-product of odd generators in the package (the spin action on W, the
-auxiliary algebras Lambda_N of the group law) calls it.  ``GEN_TABLE``
-holds each generator as a signed permutation of the monomial basis, and
-``apply_generators`` applies sums of them to any ``{mask: coefficient}``
-map, so the operators on ``Multivector`` and on superfunctions share one
-path.
+product of odd generators in the package (the auxiliary algebras Lambda_N
+of the group law) calls it.  The spin action on W needs no sign: it is
+Lambda(minus) (x) Lambda(plus) on masks ordered plus before minus.
+``GEN_TABLE`` holds each generator as a signed permutation of the monomial
+basis, and ``apply_generators`` applies sums of them to any
+``{mask: coefficient}`` map, so the operators on ``Multivector`` and on
+superfunctions share one path.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .exactnum import QC, coerce, conj, scal_is_zero
 from . import linalg
@@ -273,12 +276,27 @@ def int_minus(a, B, mv):
 # -- endomorphisms ---------------------------------------------------------
 
 class EndoW:
-    """Dense 16x16 endomorphism of W in the monomial basis (columns = inputs)."""
+    """Dense 16x16 endomorphism of W in the monomial basis (columns = inputs).
+
+    Two forms share this class.  Exact entries (QC) keep ``mat`` a list of
+    rows and every operation exact.  Any float or complex entry selects the
+    array form: ``mat`` is a 16x16 ``complex128`` array, and ``@``, ``+``,
+    ``*`` and ``max_abs`` run in numpy; an exact operand of a mixed ``@`` or
+    ``+`` is converted to complex.  ``mat[r][c]`` indexes both forms, so
+    ``__call__``, ``==`` and ``parity`` serve both unchanged.
+    """
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        self.mat = [[coerce(x) for x in row] for row in mat]
+        if isinstance(mat, np.ndarray) and mat.dtype == np.complex128:
+            self.mat = mat
+            return
+        rows = [[coerce(x) for x in row] for row in mat]
+        if all(isinstance(x, QC) for row in rows for x in row):
+            self.mat = rows
+        else:
+            self.mat = np.array(rows, dtype=np.complex128)
 
     @classmethod
     def from_action(cls, fn):
@@ -293,6 +311,12 @@ class EndoW:
     def zero(cls):
         return cls([[QC(0)] * DIM for _ in MONOMIALS])
 
+    def _exact(self):
+        return isinstance(self.mat, list)
+
+    def _array(self):
+        return np.asarray(self.mat, dtype=np.complex128)
+
     def __call__(self, mv):
         out = {}
         for c, coef in mv.coeffs.items():
@@ -303,9 +327,13 @@ class EndoW:
         return Multivector(out)
 
     def __matmul__(self, other):
+        if not (self._exact() and other._exact()):
+            return EndoW(self._array() @ other._array())
         return EndoW(linalg.mat_mul(self.mat, other.mat))
 
     def __add__(self, other):
+        if not (self._exact() and other._exact()):
+            return EndoW(self._array() + other._array())
         return EndoW([[a + b for a, b in zip(ra, rb)]
                       for ra, rb in zip(self.mat, other.mat)])
 
@@ -313,6 +341,8 @@ class EndoW:
         return self + (-1) * other
 
     def __mul__(self, s):
+        if not self._exact():
+            return EndoW(self.mat * complex(s))
         return EndoW([[x * s for x in row] for row in self.mat])
 
     __rmul__ = __mul__
@@ -328,8 +358,7 @@ class EndoW:
         return all(scal_is_zero(x, tol) for row in self.mat for x in row)
 
     def max_abs(self):
-        from .exactnum import as_complex
-        return max(abs(as_complex(x)) for row in self.mat for x in row)
+        return float(np.abs(self._array()).max())
 
     def parity(self):
         """'even', 'odd', or 'mixed' from the sparsity pattern."""
@@ -557,7 +586,7 @@ def chiral_kernel_nullspace(B, tol=0.0):
     """Null space of the stacked dbar operators by Gaussian elimination."""
     d1 = build_dbar(1, B)
     d2 = build_dbar(2, B)
-    stacked = d1.mat + d2.mat
+    stacked = [*d1.mat, *d2.mat]
     return [Multivector.from_vector(v) for v in linalg.null_space(stacked, tol)]
 
 

@@ -11,9 +11,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import conventions
-from .exactnum import QC, as_complex, coerce, conj
-from .grassmann import EndoW, Multivector, PairingMatrix, koszul_sign
+from .exactnum import QC, as_complex, coerce, conj, is_exact
+from .grassmann import EndoW, PairingMatrix
 
 
 class OffOrbit(ValueError):
@@ -34,10 +36,12 @@ def minkowski_norm2(p):
 
 
 def pair_covector(p, vec):
-    """Contract momentum with a complexified-covector table entry."""
+    """Contract momentum with a complexified-covector table entry, skipping
+    its zero components (every pairing-table covector has two)."""
     s = coerce(0)
     for pm, c in zip(p, vec):
-        s = s + c * pm
+        if c:
+            s = s + c * pm
     return s
 
 
@@ -166,39 +170,28 @@ def spin_action(h, mv):
     return spin_action_endo(h)(mv)
 
 
+def _exterior_2x2(a):
+    """Lambda(A) on the exterior algebra of a 2-dimensional space, basis
+    (1, g1, g2, g1^g2): A itself on the generators and det A on the top."""
+    return [[1, 0, 0, 0],
+            [0, a[0][0], a[0][1], 0],
+            [0, a[1][0], a[1][1], 0],
+            [0, 0, 0, m2_det(a)]]
+
+
 def spin_action_endo(h):
-    """The induced endomorphism of W as a dense matrix."""
-    pm = h.plus_matrix()
-    mm = h.minus_matrix()
-    # image of generator g (0..3) as a list of (coefficient, generator)
-    gen_images = []
-    for a in range(2):
-        gen_images.append([(pm[c][a], c) for c in range(2)])
-    for a in range(2):
-        gen_images.append([(mm[c][a], c + 2) for c in range(2)])
+    """The induced endomorphism of W as a dense matrix.
 
-    def act(mv):
-        out = Multivector({})
-        for mask, coef in mv.coeffs.items():
-            terms = {0: coef}
-            for g in range(4):
-                if not mask & (1 << g):
-                    continue
-                nxt = {}
-                for cg, tgt in gen_images[g]:
-                    bit = 1 << tgt
-                    for cur_mask, cur_c in terms.items():
-                        if cur_mask & bit:
-                            continue
-                        nm = cur_mask | bit
-                        sgn = koszul_sign(cur_mask, bit)
-                        nxt[nm] = nxt.get(nm, coerce(0)) + cur_c * cg * sgn
-                terms = nxt
-            for mk, c in terms.items():
-                out = out + Multivector({mk: c})
-        return out
-
-    return EndoW.from_action(act)
+    W = Lambda(S_+^*) (x) Lambda(S_-^*), and mask = plus bits + 4 * minus bits,
+    so the action is kron(Lambda(minus), Lambda(plus)).  No Koszul signs
+    arise: the plus generators precede the minus ones (ledger L1), and each
+    factor maps into its own generators.  An exact h gives an exact EndoW, a
+    float h the complex128 array form.
+    """
+    dtype = object if all(is_exact(x) for row in h.a for x in row) else np.complex128
+    minus = np.array(_exterior_2x2(h.minus_matrix()), dtype=dtype)
+    plus = np.array(_exterior_2x2(h.plus_matrix()), dtype=dtype)
+    return EndoW(np.kron(minus, plus))
 
 
 def conj_zeta(z):

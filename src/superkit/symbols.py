@@ -9,11 +9,14 @@ operators (d^2, dbar^2, i^2, the Dirac selector).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from . import linalg
+import numpy as np
+
+from . import conventions, grassmann, linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import (EPS, build_d2, build_dbar2, build_i2, build_int_minus,
+from .grassmann import (EPS, EndoW, build_d2, build_dbar2, build_i2, build_int_minus,
                         build_int_plus, d2_action, dbar_action)
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
@@ -36,15 +39,70 @@ def zeta_int(p, side, a):
 
 
 def zeta_d2(p):
+    if not momentum_is_exact(p):
+        return _float_symbol(zeta_d2, p)
     return build_d2(gamma_pair(p), EPS)
 
 
 def zeta_dbar2(p):
+    if not momentum_is_exact(p):
+        return _float_symbol(zeta_dbar2, p)
     return build_dbar2(gamma_pair(p), EPS)
 
 
 def zeta_i2(p):
+    if not momentum_is_exact(p):
+        return _float_symbol(zeta_i2, p)
     return build_i2(gamma_pair(p), EPS)
+
+
+# At a float momentum each of zeta_d2, zeta_dbar2, zeta_i2 is evaluated as a
+# polynomial in p: B(p) is linear in p and each operator is at most quadratic
+# in B, so the symbol is  sum_k mono_k(p) C_k  over the 15 monomials 1, p_mu,
+# p_mu p_nu (mu <= nu).  The C_k are read off the exact symbol at the 15 exact
+# momenta 0, +-e_mu and e_mu + e_nu, once per process.
+
+_UNITS = tuple(tuple(int(mu == nu) for nu in range(4)) for mu in range(4))
+
+
+def _builder_tables():
+    """The convention tables the exact builders read."""
+    return grassmann.GEN_TABLE, conventions.GAMMA_TABLE
+
+
+def _float_symbol(zeta, p):
+    coeffs, _ = _symbol_coefficients(zeta, tuple(map(id, _builder_tables())))
+    pf = np.array(p, dtype=float)
+    mono = np.concatenate(([1.0], pf, [pf[mu] * pf[nu] for mu in range(4) for nu in range(mu, 4)]))
+    return EndoW(np.tensordot(mono, coeffs, 1))
+
+
+@functools.cache
+def _symbol_coefficients(zeta, table_ids):
+    """(C_k as a read-only (15, 16, 16) array, the tables it was fitted under).
+
+    Keyed by the ids of the convention tables the exact builders read, so a
+    patched table gets its own fit; the entry holds those tables, so their
+    ids stay unique while it lives.
+    """
+    def at(p):
+        return np.array(zeta(tuple(Fraction(x) for x in p)).mat, dtype=np.complex128)
+
+    c0 = at((0, 0, 0, 0))
+    plus = [at(e) for e in _UNITS]
+    minus = [at(tuple(-x for x in e)) for e in _UNITS]
+    linear = [(a - b) / 2 for a, b in zip(plus, minus)]
+    quadratic = []
+    for mu in range(4):
+        for nu in range(mu, 4):
+            if mu == nu:
+                quadratic.append((plus[mu] + minus[mu]) / 2 - c0)
+            else:
+                e = tuple(a + b for a, b in zip(_UNITS[mu], _UNITS[nu]))
+                quadratic.append(at(e) - plus[mu] - plus[nu] + c0)
+    coeffs = np.stack([c0, *linear, *quadratic])
+    coeffs.setflags(write=False)
+    return coeffs, _builder_tables()
 
 
 # sparse-action variants (same operators, no dense matrix assembly)
@@ -58,7 +116,10 @@ def zeta_d2_action(p):
 
 
 def propagate(u, p, m, tol=1e-9):
-    """zeta_u(p) = rho(h_p) u rho(h_p)^-1 along the forward orbit."""
+    """zeta_u(p) = rho(h_p) u rho(h_p)^-1 along the forward orbit.
+
+    The boost h_p is float, so rho is in EndoW's array form and the two
+    products run in numpy."""
     h = rest_boost(p, m, tol)
     rho = spin_action_endo(h)
     rho_inv = spin_action_endo(h.inverse())

@@ -1,3 +1,5 @@
+import numpy as np
+
 from conftest import rand_qc
 
 from superkit import suites
@@ -6,7 +8,8 @@ from superkit.grassmann import (DIM, EndoW, MONOMIALS, Multivector,
                                 PairingMatrix, anticommutator, build_d, build_d2,
                                 build_d2_factorized, build_dbar, build_dbar2,
                                 build_dbar2_factorized, build_e2, build_i2,
-                                build_q, chiral_kernel, conjugate_w, contract_gen, degree,
+                                build_q, chiral_kernel, chiral_kernel_nullspace, conjugate_w,
+                                contract_gen, degree,
                                 ext_minus, ext_plus, int_minus, int_plus, koszul_sign,
                                 mono_mask, mono_key, mask_from_key, parity, plus_set,
                                 minus_set, wedge_gen)
@@ -51,8 +54,8 @@ def test_sign_oracle_all_monomials():
         for mask in MONOMIALS:
             assert wedge_gen(gen, mask) == oracle_wedge(gen, mask)
             assert contract_gen(gen, mask) == oracle_contract(gen, mask)
-    # the sign core itself, on words of up to six generators: the Lambda_N
-    # product (N <= 6) and the right append of the spin action
+    # the sign core itself, on words of up to six generators, as the Lambda_N
+    # product (N <= 6) uses it
     for ma in range(64):
         for mb in range(64):
             if not ma & mb:
@@ -209,6 +212,10 @@ def test_chiral_kernel_nullspace_dimension(rng):
     pairings = [ID] + [rand_pairing(rng) for _ in range(20)]
     ok, _, detail = suites.chiral_kernel(pairings)
     assert ok, detail
+    # a float pairing builds array-form dbar matrices, stacked as 32 rows
+    B = rand_pairing(rng)
+    Bf = PairingMatrix([[complex(B[a, b]) for b in (1, 2)] for a in (1, 2)])
+    assert len(chiral_kernel_nullspace(Bf, 1e-9)) == 4
 
 
 def test_chiral_kernel_f_vector():
@@ -272,3 +279,41 @@ def test_endow_json_shape(rng):
     mat = build_d(1, rand_pairing(rng)).to_json()
     assert len(mat) == DIM and all(len(row) == DIM for row in mat)
     assert all(len(entry) == 4 for row in mat for entry in row)
+
+
+# -- EndoW array form -------------------------------------------------------------------
+
+def test_endow_array_form_mixes_with_the_exact_form(rng):
+    B = rand_pairing(rng)
+    exact = build_d(1, B)
+    assert isinstance(exact.mat, list)
+    ref = np.array([[complex(x) for x in row] for row in exact.mat])
+    # a float entry selects the array form; equal values compare equal across forms
+    dense = build_d(1, PairingMatrix([[complex(B[a, b]) for b in (1, 2)] for a in (1, 2)]))
+    assert isinstance(dense.mat, np.ndarray) and dense.mat.dtype == np.complex128
+    assert dense == exact and exact == dense
+    assert dense != exact + EndoW.identity()
+    other = build_dbar(2, B)
+    oref = np.array([[complex(x) for x in row] for row in other.mat])
+    for prod in (dense @ other, exact @ (1.0 * other), (0.5 * exact) @ other):
+        assert isinstance(prod.mat, np.ndarray)
+    assert np.array_equal((dense @ other).mat, ref @ oref)
+    assert np.array_equal((exact + 0.5 * other).mat, ref + 0.5 * oref)
+    assert (dense @ other).max_abs() == np.abs(ref @ oref).max()
+    # exact operands alone stay exact
+    assert isinstance((exact @ other).mat, list) and isinstance((2 * exact).mat, list)
+    assert dense.mat[3][1] == complex(exact.mat[3][1])
+
+
+def test_endow_array_form_call_and_parity(rng):
+    B = rand_pairing(rng)
+    exact = build_d(2, B)
+    dense = exact * 1.0
+    mv = Multivector({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in MONOMIALS})
+    got, want = dense(mv), exact(mv)
+    assert all(type(c) is complex for c in got.coeffs.values())
+    assert max(abs(complex(got[m]) - complex(want[m])) for m in MONOMIALS) < 1e-12
+    assert dense(Multivector({})).is_zero()
+    assert dense.parity() == "odd"
+    assert (dense @ dense).parity() == "even"
+    assert (dense + EndoW.identity()).parity() == "mixed"

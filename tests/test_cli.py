@@ -213,3 +213,27 @@ def test_superkit_tol_is_read_when_main_runs(capsys, monkeypatch):
     monkeypatch.setenv("SUPERKIT_TOL", "0")
     code, _ = run(capsys, "pipeline", "--mass", "1", "--momentum", q)
     assert code == 1    # float residuals are never exactly 0
+
+
+def test_parser_is_built_once_and_superkit_tol_read_per_call(monkeypatch):
+    from superkit.cli import build_parser
+    assert build_parser() is build_parser()
+    argv = ["pipeline", "--mass", "1", "--momentum", "[1.000001,0.0,0.0,0.0]"]
+    for tol, code in (("1e-3", 0), ("1e-9", 2), ("1e-3", 0)):
+        monkeypatch.setenv("SUPERKIT_TOL", tol)
+        assert main(argv) == code, tol
+
+
+def test_python_m_superkit_runs_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "superkit", "identities", "--suite", "symbols",
+                           "--seed", "0", "--json"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {c["status"] for c in json.loads(proc.stdout)["checks"]} == {"pass"}

@@ -13,8 +13,8 @@ from superkit.components import (ChiralData, Grid4, GridTooSmall, NotChiral,
                                  dirac_residual, extract_chiral, f_residual,
                                  grid_residual, is_chiral, kg_residual,
                                  residuals_vanish, solution_generator, wz_conjugate,
-                                 wz_equivalence_check, wz_operator, _unit_chiral,
-                                 _wz_columns)
+                                 wz_equivalence_check, wz_operator, _lambda_module_dims,
+                                 _unit_chiral, _wz_columns)
 from superkit.exactnum import QC, as_complex, coerce, conj
 from superkit.grassmann import mono_mask
 from superkit.spin_geometry import OffOrbit, act_on_momentum, gamma_lower, \
@@ -331,9 +331,30 @@ def test_wz_equivalence(N):
         assert rep["module_dim_real"] == 4
 
 
-def test_wz_equivalence_rejects_large_n():
+def _lambda_module_dims_by_loop(N, dims):
+    """Reference: walk all 2^N monomials of Lambda_N."""
+    module_dim = n_even = 0
+    for mask in range(2 ** N):
+        k = bin(mask).count("1")
+        twist = (-1) ** (k * (k - 1) // 2)
+        module_dim += dims[twist][0] if k % 2 == 0 else dims[twist][1]
+        n_even += k % 2 == 0
+    return module_dim, n_even
+
+
+def test_lambda_module_dims_equal_the_monomial_loop():
+    # distinct dimensions per twist and parity, so a mixed-up index shows
+    dims = {1: (3, 5), -1: (7, 11)}
+    for N in range(11):
+        assert _lambda_module_dims(N, dims) == _lambda_module_dims_by_loop(N, dims), N
+
+
+def test_wz_equivalence_beyond_six_generators():
+    rep = wz_equivalence_check(16)
+    assert rep["match"], rep
+    assert rep["module_dim_real"] == rep["expected_dim_real"] == 8 * 2 ** 15
     with pytest.raises(ValueError):
-        wz_equivalence_check(8)
+        wz_equivalence_check(-1)
 
 
 def test_conjugate_sf_full_reality_structure(rng):

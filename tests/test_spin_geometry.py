@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_momentum
 
-from superkit.exactnum import QC, as_complex
-from superkit.grassmann import EndoW, Multivector, PairingMatrix, mono_mask
+from superkit.exactnum import QC, as_complex, coerce
+from superkit.grassmann import EndoW, Multivector, PairingMatrix, koszul_sign, mono_mask
 from superkit.spin_geometry import (NonPositiveEnergy, OffOrbit, SpinElement,
                                     act_on_momentum, boost_x, c1, classify_orbit,
                                     conj_zeta, gamma_lower, gamma_pair, m2_dagger,
@@ -119,6 +120,59 @@ def test_spin_action_identity_composition_top(rng):
     assert len(out.coeffs) == 1
     inv = spin_action_endo(h1) @ spin_action_endo(h1.inverse())
     assert (inv - EndoW.identity()).max_abs() < 1e-10
+
+
+def _koszul_walk_spin_action_endo(h):
+    """Reference: the action of h on W built monomial by monomial, each
+    generator image wedged on with its Koszul sign."""
+    pm, mm = h.plus_matrix(), h.minus_matrix()
+    gen_images = [[(pm[c][a], c) for c in range(2)] for a in range(2)]
+    gen_images += [[(mm[c][a], c + 2) for c in range(2)] for a in range(2)]
+
+    def act(mv):
+        out = Multivector({})
+        for mask, coef in mv.coeffs.items():
+            terms = {0: coef}
+            for g in range(4):
+                if not mask & (1 << g):
+                    continue
+                nxt = {}
+                for cg, tgt in gen_images[g]:
+                    bit = 1 << tgt
+                    for cur_mask, cur_c in terms.items():
+                        if not cur_mask & bit:
+                            nm = cur_mask | bit
+                            nxt[nm] = (nxt.get(nm, coerce(0))
+                                       + cur_c * cg * koszul_sign(cur_mask, bit))
+                terms = nxt
+            out = out + Multivector(terms)
+        return out
+
+    return EndoW.from_action(act)
+
+
+def _rand_rational_sl2(rng):
+    """A product of exact unipotent and diagonal SL(2, Q(i)) factors."""
+    def q():
+        return QC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    d = QC(Fraction(rng.randint(1, 5), rng.randint(1, 5)), Fraction(rng.randint(-2, 2), 3))
+    h = SpinElement([[d, 0], [0, QC(1) / d]])
+    for _ in range(2):
+        h = h @ SpinElement([[1, q()], [0, 1]]) @ SpinElement([[1, 0], [q(), 1]])
+    return h
+
+
+def test_spin_action_kron_matches_koszul_walk(rng):
+    for _ in range(10):
+        h = _rand_sl2(rng)
+        got, ref = spin_action_endo(h), _koszul_walk_spin_action_endo(h)
+        assert (got - ref).max_abs() < 1e-12 * max(1.0, ref.max_abs())
+    for _ in range(5):
+        h = _rand_rational_sl2(rng)
+        got = spin_action_endo(h)
+        assert all(isinstance(x, QC) for row in got.mat for x in row)
+        assert got == _koszul_walk_spin_action_endo(h)
 
 
 def test_pairing_equivariance_through_w_action(rng):

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import ONSHELL_EXACT, rand_momentum
 
 from superkit import linalg, suites
-from superkit.exactnum import as_complex, coerce
+from superkit.exactnum import QC, as_complex, coerce
 from superkit.grassmann import Multivector, build_d2, mono_mask
 from superkit.spin_geometry import gamma_pair, minkowski_norm2
 from superkit.suites import rand_onshell, rand_shell_sample
@@ -14,7 +15,7 @@ from superkit.symbols import (DegenerateOrder, dirac_kernel_dim,
                               dirac_symbol, divergence_kernel_dim, divergence_symbol,
                               gamma_matrix, multiplicity, propagate,
                               superspin0_constraints, sym_tensor_dim,
-                              zeta_d2, zeta_i2, zeta_int)
+                              zeta_d2, zeta_dbar2, zeta_i2, zeta_int)
 
 B12 = mono_mask((), (1, 2))
 F2 = Fraction
@@ -53,6 +54,21 @@ def test_zeta_d2_display_on_chiral_element(rng):
     assert out[mono_mask((1, 2), (1, 2))] == 2
     out_psi = zeta_d2(p)(x_psi1)
     assert out_psi[mono_mask((1,), ())] == -4 * coerce(minkowski_norm2(p))
+
+
+def test_float_symbols_match_the_exact_builders(rng):
+    """At a float momentum zeta_d2, zeta_dbar2 and zeta_i2 evaluate their
+    polynomial in p; it must agree with the exact symbol at the same point."""
+    for _ in range(20):
+        p = rand_momentum(rng)
+        pf = tuple(float(x) for x in p)
+        for zeta in (zeta_d2, zeta_dbar2, zeta_i2):
+            exact = zeta(p)
+            assert all(isinstance(x, QC) for row in exact.mat for x in row)
+            ref = np.array([[complex(x) for x in row] for row in exact.mat])
+            got = zeta(pf).mat
+            assert isinstance(got, np.ndarray) and got.dtype == np.complex128
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_propagation_route_equivalence(rng):
