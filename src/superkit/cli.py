@@ -158,12 +158,13 @@ def _wz_vanishes(f, mass, tol):
 
 def _grid_convergence(sol, m, grid):
     """Halving the grid spacing on the same domain must cut the Klein-Gordon
-    residual about 4x."""
+    and the Dirac residuals about 4x each."""
     n, h = grid
     r1 = cmp.grid_residual(sol, float(m), cmp.Grid4(n, h))
     r2 = cmp.grid_residual(sol, float(m), cmp.Grid4(2 * n - 1, h / 2))
-    ratio = (r1["max_kg"] / r2["max_kg"]) if r2["max_kg"] else float("inf")
-    return 3.0 < ratio < 5.0, r2["max_kg"], f"kg ratio {ratio:.2f}"
+    kg, dirac = ((r1[k] / r2[k]) if r2[k] else float("inf") for k in ("max_kg", "max_dirac"))
+    return (3.0 < kg < 5.0 and 3.0 < dirac < 5.0, r2["max_kg"],
+            f"kg ratio {kg:.2f}, dirac ratio {dirac:.2f}")
 
 
 def cmd_decompose(args):
@@ -244,7 +245,7 @@ def cmd_superft(args):
 
 def cmd_solve(args):
     try:
-        sol = cmp.solution_generator(args.momentum, args.mass)
+        sol = cmp.solution_generator(args.momentum, args.mass, tol=args.float_tol)
     except OffOrbit as exc:
         print(f"off orbit: {exc}", file=sys.stderr)
         return 2

@@ -325,10 +325,10 @@ def propagation_route(samples, tol):
     """Closed-form d^2, dbar^2, i^2 symbols against the rest-frame operators
     propagated along the orbit; the error is relative to max(1, m^2)."""
     worst = 0.0
+    zetas = (sym.zeta_d2, sym.zeta_dbar2, sym.zeta_i2)
     for p, m in samples:
         rest = (m, 0.0, 0.0, 0.0)
-        for zeta in (sym.zeta_d2, sym.zeta_dbar2, sym.zeta_i2):
-            prop = sym.propagate(zeta(rest), p, m)
+        for zeta, prop in zip(zetas, sym.propagate([z(rest) for z in zetas], p, m)):
             worst = max(worst, (zeta(p) - prop).max_abs() / max(1.0, m * m))
     return worst <= tol, worst, f"closed form vs propagation, {len(samples)} momenta"
 

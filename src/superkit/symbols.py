@@ -115,15 +115,15 @@ def zeta_d2_action(p):
     return d2_action(gamma_pair(p), EPS)
 
 
-def propagate(u, p, m, tol=1e-9):
-    """zeta_u(p) = rho(h_p) u rho(h_p)^-1 along the forward orbit.
+def propagate(ops, p, m, tol=1e-9):
+    """[zeta_u(p) = rho(h_p) u rho(h_p)^-1 for u in ops] along the forward orbit.
 
-    The boost h_p is float, so rho is in EndoW's array form and the two
-    products run in numpy."""
+    One boost h_p serves every operator.  It is float, so rho is in EndoW's
+    array form and the two products per operator run in numpy."""
     h = rest_boost(p, m, tol)
     rho = spin_action_endo(h)
     rho_inv = spin_action_endo(h.inverse())
-    return rho @ u @ rho_inv
+    return [rho @ u @ rho_inv for u in ops]
 
 
 # -- Dirac symbol -------------------------------------------------------------

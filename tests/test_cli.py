@@ -127,9 +127,10 @@ def test_pipeline_grid_at_rest(capsys, seed):
     assert code == 0
     grid = {c["id"]: c for c in json.loads(out)["checks"]}["grid_convergence"]
     assert grid["status"] == "pass" and grid["detail"].startswith("kg ratio ")
+    assert ", dirac ratio " in grid["detail"]
 
 
-@pytest.mark.parametrize("command", ["pipeline", "wz-check"])
+@pytest.mark.parametrize("command", ["pipeline", "wz-check", "solve"])
 def test_superkit_tol_reaches_the_shell_test(capsys, monkeypatch, command):
     argv = [command, "--mass", "1", "--momentum", "[1.000001,0.0,0.0,0.0]"]
     monkeypatch.delenv("SUPERKIT_TOL", raising=False)

@@ -14,7 +14,7 @@ from superkit.components import (ChiralData, Grid4, GridTooSmall, NotChiral,
                                  grid_residual, is_chiral, kg_residual,
                                  residuals_vanish, solution_generator, wz_conjugate,
                                  wz_equivalence_check, wz_operator, _lambda_module_dims,
-                                 _unit_chiral, _wz_columns)
+                                 _max_abs_interior, _unit_chiral, _wz_columns)
 from superkit.exactnum import QC, as_complex, coerce, conj
 from superkit.grassmann import mono_mask
 from superkit.spin_geometry import OffOrbit, act_on_momentum, gamma_lower, \
@@ -290,7 +290,7 @@ def _stencil_residual(c, m, grid):
     return {"max_kg": interior_max(kg), "max_dirac": max(dirac)}
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("n", [5, 7, 9, 17])
 def test_grid_residual_matches_stencil(n):
     rng = random.Random(n)
     eta = 1.3
@@ -315,6 +315,49 @@ def test_grid_residual_matches_stencil(n):
             got, ref = grid_residual(c, 1, grid), _stencil_residual(c, 1, grid)
             for key in ("max_kg", "max_dirac"):
                 assert abs(got[key] - ref[key]) <= 1e-9 * ref[key], (key, got, ref)
+
+
+def _brute_max_abs_interior(coeffs, grid):
+    """Reference for _max_abs_interior: |sum_k c_k e^{i q_k . x}| at every
+    interior point."""
+    axes = [o + grid.h * np.arange(1, grid.n - 1) for o in grid.origin]
+    x = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return float(np.abs(sum(c * np.exp(1j * sum(k * xk for k, xk in zip(q, x)))
+                            for q, c in coeffs.items())).max())
+
+
+def test_nearest_phase_max_matches_brute_force():
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(40):
+        grid = Grid4(int(rng.integers(5, 12)), rng.uniform(0.05, 0.5),
+                     origin=tuple(rng.uniform(-5, 5, 4)))
+        qs = rng.uniform(-4, 4, (2, 4))
+        cases.append(({tuple(q): complex(*rng.uniform(-1, 1, 2)) for q in qs}, grid))
+    # d = q1 - q0 = e_1 puts the spatial phases at o_1 + 0.5 j; with
+    # arg c0 - arg c1 = +-1e-9 the target sits just above 0 or just below 2 pi,
+    # and the nearest phase (-0.01 or 0.01) lies across the wrap
+    q0 = (0.4, 0.2, -0.3, 0.7)
+    q1 = (0.4, 1.2, -0.3, 0.7)
+    for o1 in (-0.51, -0.49):
+        for e in (1e-9, -1e-9):
+            grid = Grid4(7, 0.5, origin=(0.3, o1, 0.7, 1.1))
+            cases.append(({q0: complex(math.cos(e), math.sin(e)), q1: 1 + 0j}, grid))
+    cases.append(({q0: 0j, q1: 0.3 - 0.4j}, Grid4(6, 0.2, origin=(1.0, -2.0, 0.5, 3.0))))
+    for coeffs, grid in cases:
+        got, ref = _max_abs_interior(coeffs, grid), _brute_max_abs_interior(coeffs, grid)
+        assert abs(got - ref) <= 1e-12 * ref, (coeffs, got, ref)
+
+
+def test_nearest_phase_max_frequency_count():
+    grid = Grid4(6, 0.2, origin=(0.1, 0.2, 0.3, 0.4))
+    assert _max_abs_interior({}, grid) == 0.0
+    one = {(0.3, -1.0, 2.0, 0.5): 0.6 + 0.8j}
+    assert _max_abs_interior(one, grid) == abs(0.6 + 0.8j)
+    assert abs(_brute_max_abs_interior(one, grid) - 1.0) <= 1e-12
+    three = {(float(k), 0.0, 0.0, 0.0): 1 + 0j for k in range(3)}
+    with pytest.raises(ValueError):
+        _max_abs_interior(three, grid)
 
 
 # -- representability over Lambda_N -----------------------------------------------------

@@ -78,7 +78,8 @@ def test_propagation_route_equivalence(rng):
 
 def test_propagate_at_rest_is_identity_map():
     u = build_d2(gamma_pair((2.0, 0.0, 0.0, 0.0)))
-    assert (propagate(u, (2.0, 0.0, 0.0, 0.0), 2.0) - u).max_abs() < 1e-12
+    [prop] = propagate([u], (2.0, 0.0, 0.0, 0.0), 2.0)
+    assert (prop - u).max_abs() < 1e-12
 
 
 def test_zeta_equivariance_of_d2(rng):
