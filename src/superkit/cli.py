@@ -132,14 +132,15 @@ def cmd_pipeline(args):
     f = cmp.chiral_expand(sol)
     tol = 0.0 if exact else args.float_tol
 
+    # chirality is tested once, here; the checks after it do not test it again
     rp.run("chirality", lambda: (cmp.is_chiral(f, tol), 0.0, ""))
     rp.run("momentum_constraints", lambda: (
         sym.superspin0_constraints(p, mass).solution_dims_paired(args.float_tol) == (2, 2),
         0.0, ""))
-    rp.run("wz_vanishes", lambda: _wz_vanishes(f, mass, tol))
+    rp.run("wz_vanishes", lambda: _wz_vanishes(f, mass, tol, check=False))
 
     def residuals():
-        res = cmp.component_reduce(f, mass, tol)
+        res = cmp.component_reduce(f, mass, check=False)
         err = max(res["kg_residual"].max_abs(), res["f_relation"].max_abs(),
                   max(r.max_abs() for r in res["dirac_residual"]))
         return err <= tol, err, ""
@@ -151,8 +152,8 @@ def cmd_pipeline(args):
     return 0 if rp.ok() else 1
 
 
-def _wz_vanishes(f, mass, tol):
-    w = cmp.wz_operator(f, mass, tol=tol)
+def _wz_vanishes(f, mass, tol, check):
+    w = cmp.wz_operator(f, mass, check=check, tol=tol)
     return w.is_zero(tol), w.max_abs(), ""
 
 
@@ -263,8 +264,9 @@ def cmd_wz_check(args):
     f = cmp.chiral_expand(sol)
     exact = all(isinstance(x, Fraction) for x in args.momentum)
     tol = 0.0 if exact else args.float_tol
-    rp.run("wz_vanishes", lambda: _wz_vanishes(f, args.mass, tol))
-    res = cmp.component_reduce(f, args.mass, tol)
+    # wz_operator tests chirality, once; the residuals do not test it again
+    rp.run("wz_vanishes", lambda: _wz_vanishes(f, args.mass, tol, check=True))
+    res = cmp.component_reduce(f, args.mass, check=False)
     rp.run("residuals", lambda: (cmp.residuals_vanish(res, tol), 0.0, ""))
     if args.grid:
         rp.run("grid_convergence", lambda: _grid_convergence(sol, args.mass, args.grid))

@@ -113,7 +113,7 @@ def _conjugate_with_signs(f, signs):
         i, j = plus_set(m), minus_set(m)
         sgn = signs[(len(i), len(j))]
         out[mono_mask(j, i)] = sgn * g.conjugate()
-    return SuperFunction(out, f.side)
+    return SuperFunction._of(out, f.side)
 
 
 def conjugate_sf(f):
@@ -184,9 +184,10 @@ def f_residual(c, m):
     return c.F - (2 * s * coerce(m)) * c.phi.conjugate()
 
 
-def component_reduce(f, m, tol=0.0):
-    """Residuals of the component system for a chiral superfunction."""
-    c = extract_chiral(f, tol)
+def component_reduce(f, m, tol=0.0, check=True):
+    """Residuals of the component system for a chiral superfunction; with
+    check False the caller has tested its chirality (see extract_chiral)."""
+    c = extract_chiral(f, tol, check)
     return {
         "kg_residual": kg_residual(c, m),
         "dirac_residual": dirac_residual(c, m),

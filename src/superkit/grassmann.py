@@ -16,7 +16,14 @@ Lambda(minus) (x) Lambda(plus) on masks ordered plus before minus.
 ``GEN_TABLE`` holds each generator as a signed permutation of the monomial
 basis, and ``apply_generators`` applies sums of them to any
 ``{mask: coefficient}`` map, so the operators on ``Multivector`` and on
-superfunctions share one path.
+superfunctions share one path.  Each d/q action builds its generator sum
+once, when it is made -- the wedge plus the pairing-scaled contractions --
+so one application is one pass and one ``Multivector``.
+
+``Multivector(coeffs)`` coerces every entry of outside data.  Values the
+package builds itself (sums, scalar products, generator images) go through
+``Multivector._of``, which only drops zero entries: no stored coefficient is
+ever zero, so ``is_zero()`` at tolerance 0 is an emptiness test.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from . import linalg
 N_GEN = 4
 DIM = 16
 MONOMIALS = tuple(range(DIM))
+_ZERO = QC(0)
 
 
 def plus_set(mask):
@@ -143,6 +151,13 @@ class Multivector:
                     self.coeffs[m] = c
 
     @classmethod
+    def _of(cls, coeffs):
+        """A multivector of scalars the package computed: drops zeros, no coercion."""
+        mv = object.__new__(cls)
+        mv.coeffs = {m: c for m, c in coeffs.items() if c}
+        return mv
+
+    @classmethod
     def basis(cls, mask, scale=1):
         return cls({mask: coerce(scale)})
 
@@ -151,33 +166,38 @@ class Multivector:
         return cls({0: coerce(value)})
 
     def __getitem__(self, mask):
-        return self.coeffs.get(mask, QC(0))
+        return self.coeffs.get(mask, _ZERO)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
-        return Multivector(out)
+        return Multivector._of(out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, s):
-        return Multivector({m: c * s for m, c in self.coeffs.items()})
+        s = coerce(s)
+        return Multivector._of({m: c * s for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return (-1) * self
+        return Multivector._of({m: -c for m, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
+        if self.coeffs == other.coeffs:
+            return True
         keys = set(self.coeffs) | set(other.coeffs)
         return all(scal_is_zero(self[k] - other[k]) for k in keys)
 
     def is_zero(self, tol=0.0):
+        if not tol:
+            return not self.coeffs
         return all(scal_is_zero(c, tol) for c in self.coeffs.values())
 
     def max_abs(self):
@@ -251,26 +271,34 @@ EPS = SymplecticForm()
 
 # -- primitive operations -------------------------------------------------
 
+def _apply(mv, terms):
+    return Multivector._of(apply_generators(mv.coeffs, terms))
+
+
 def ext_plus(a, mv):
     """Left exterior multiplication by tau^a on the plus factor."""
-    return Multivector(apply_generators(mv.coeffs, [(None, a - 1, False)]))
+    return _apply(mv, [(None, a - 1, False)])
 
 
 def ext_minus(a, mv):
     """Left exterior multiplication by taubar^a, with the Koszul crossing sign."""
-    return Multivector(apply_generators(mv.coeffs, [(None, a + 1, False)]))
+    return _apply(mv, [(None, a + 1, False)])
+
+
+def _contractions(pairs, sign=1):
+    """Contraction terms (scale, gen, True) of the nonzero (scale, gen) pairs,
+    each scale times `sign`."""
+    return [(s if sign > 0 else -s, gen, True) for s, gen in pairs if not scal_is_zero(s)]
 
 
 def int_plus(a, B, mv):
     """Interior product i_{tau^a}: contracts taubar^b with coefficient B[a][b]."""
-    return Multivector(apply_generators(
-        mv.coeffs, [(B[a, b], b + 1, True) for b in (1, 2) if not scal_is_zero(B[a, b])]))
+    return _apply(mv, _contractions([(B[a, b], b + 1) for b in (1, 2)]))
 
 
 def int_minus(a, B, mv):
     """Interior product i_{taubar^a}: contracts tau^b with coefficient B[b][a]."""
-    return Multivector(apply_generators(
-        mv.coeffs, [(B[b, a], b - 1, True) for b in (1, 2) if not scal_is_zero(B[b, a])]))
+    return _apply(mv, _contractions([(B[b, a], b - 1) for b in (1, 2)]))
 
 
 # -- endomorphisms ---------------------------------------------------------
@@ -390,28 +418,28 @@ def anticommutator(a, b):
 # Multivector); build_* wraps them into dense EndoW matrices when a matrix
 # is wanted.  Compositions stay sparse, which keeps exact arithmetic cheap.
 
+def _one_pass(wedge, pairs, sign):
+    """The action e + sign * i: the wedge by generator `wedge` plus `sign`
+    times the contractions of the (pairing entry, generator) `pairs`, as one
+    generator sum built here, so each application is one pass."""
+    terms = [(None, wedge, False), *_contractions(pairs, sign)]
+    return lambda mv: _apply(mv, terms)
+
+
 def d_action(a, B):
-    def act(mv):
-        return ext_plus(a, mv) + int_plus(a, B, mv)
-    return act
+    return _one_pass(a - 1, [(B[a, b], b + 1) for b in (1, 2)], 1)
 
 
 def dbar_action(a, B):
-    def act(mv):
-        return ext_minus(a, mv) + int_minus(a, B, mv)
-    return act
+    return _one_pass(a + 1, [(B[b, a], b - 1) for b in (1, 2)], 1)
 
 
 def q_action(a, B):
-    def act(mv):
-        return ext_plus(a, mv) - int_plus(a, B, mv)
-    return act
+    return _one_pass(a - 1, [(B[a, b], b + 1) for b in (1, 2)], -1)
 
 
 def qbar_action(a, B):
-    def act(mv):
-        return ext_minus(a, mv) - int_minus(a, B, mv)
-    return act
+    return _one_pass(a + 1, [(B[b, a], b - 1) for b in (1, 2)], -1)
 
 
 def _eps_compose(acts, eps):

@@ -3,7 +3,12 @@
 Row reduction is plain Gauss-Jordan elimination: each pivot row is divided by
 its pivot and cleared from every other row in the entries' own arithmetic
 (exact QC division for exact input), so it is not fraction-free.  That is
-fine at the 16-, 32- and few-hundred-row sizes this package ever sees.
+fine at the 16-, 32- and few-hundred-row sizes this package ever sees.  The
+elimination is sparse-aware: it skips the exact zeros of each pivot row, so
+it divides only the other entries and updates the other rows only at those
+columns, in place on its copy of the input.  Since ``a - f*0 == a`` for an
+exact zero, the result is the dense one; float entries are never skipped, so
+float results match the dense elimination bit for bit, signed zeros included.
 Entries may be QC, Fraction, int, or python complex -- anything supporting
 +, -, *, / and a zero test via :func:`superkit.exactnum.scal_is_zero`.
 """
@@ -18,7 +23,7 @@ def _clone(mat):
 
 
 def row_echelon(mat, tol=0.0):
-    """Reduce in place; return (matrix, pivot column list)."""
+    """Reduce a copy of `mat`; return (matrix, pivot column list)."""
     m = _clone(mat)
     if not m:
         return m, []
@@ -34,12 +39,18 @@ def row_echelon(mat, tol=0.0):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r]
+        inv = prow[c]
+        # skip exact zeros only: a float entry, even one below tol, is still used
+        nonzero = [j for j, x in enumerate(prow) if x or type(x) is not QC]
+        for j in nonzero:
+            prow[j] = prow[j] / inv
         for i in range(rows):
-            if i != r and not scal_is_zero(m[i][c], tol):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and not scal_is_zero(f, tol):
+                for j in nonzero:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:

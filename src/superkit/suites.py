@@ -13,6 +13,7 @@ suite drivers call them in a fixed order, so a seed reproduces a report.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -23,9 +24,9 @@ from .exactnum import QC, coerce
 from .grassmann import (MONOMIALS, Multivector, PairingMatrix, build_d, build_d2,
                         build_d2_factorized, build_dbar, build_dbar2,
                         build_dbar2_factorized, build_qbar, chiral_kernel_nullspace,
-                        d_action, dbar_action, ext_minus, int_plus, mono_key,
+                        d2_action, d_action, dbar_action, ext_minus, int_plus, mono_key,
                         mono_mask, q_action, qbar_action)
-from .spin_geometry import gamma_lower, minkowski_norm2
+from .spin_geometry import gamma_lower, gamma_pair, minkowski_norm2
 
 # The sixteen Hodge-star display entries: (source, target, factor).
 STAR_DISPLAY = (
@@ -88,11 +89,14 @@ def rand_shell_sample(rng):
 
 def rand_superfunction(rng, nterms=1):
     """nterms plane waves per monomial, each at its own random momentum."""
-    f = sft.SuperFunction({}, "position")
+    comps = {}
     for mask in MONOMIALS:
+        terms = {}
         for _ in range(nterms):
-            f = f + sft.single_wave(mask, rand_qc(rng), rand_momentum(rng))
-    return f
+            a, q = rand_qc(rng), sft.MomentumKey(rand_momentum(rng))
+            terms[q] = terms[q] + a if q in terms else a
+        comps[mask] = sft.PlaneWaveFn(terms)
+    return sft.SuperFunction(comps, "position")
 
 
 def rand_even(rng, alg):
@@ -118,42 +122,56 @@ def rand_superpoint(rng, alg):
 
 # -- algebra on W -------------------------------------------------------------------
 
+_BASIS = tuple(Multivector.basis(m) for m in MONOMIALS)
+
+
+def _with_images(op):
+    """(op, its images of the 16 basis monomials), so a check that pairs op
+    with several others applies it to each basis vector once."""
+    return op, [op(e) for e in _BASIS]
+
+
 def _anticommutes_to(f, g, scale=None):
-    """{f, g} == scale * Id (0 when scale is None), column by column."""
+    """{f, g} == scale * Id (0 when scale is None), column by column, for f
+    and g given as (action, basis images) pairs."""
+    (f, fe), (g, ge) = f, g
     for m in MONOMIALS:
-        e = Multivector.basis(m)
         want = Multivector.basis(m, scale) if scale is not None else Multivector({})
-        if f(g(e)) + g(f(e)) != want:
+        if f(ge[m]) + g(fe[m]) != want:
             return False
     return True
 
 
 def _ext(b):
-    return lambda mv: ext_minus(b, mv)
+    return _with_images(lambda mv: ext_minus(b, mv))
 
 
 def _int(a, B):
-    return lambda mv: int_plus(a, B, mv)
+    return _with_images(lambda mv: int_plus(a, B, mv))
 
 
 def anticommutation_ie(pairings):
     """{i_{tau^a}, e_{taubar^b}} = B[a][b] Id."""
+    ext = {b: _ext(b) for b in (1, 2)}
     for B in pairings:
+        ints = {a: _int(a, B) for a in (1, 2)}
         for a in (1, 2):
             for b in (1, 2):
-                if not _anticommutes_to(_int(a, B), _ext(b), B[a, b]):
+                if not _anticommutes_to(ints[a], ext[b], B[a, b]):
                     return False, 1.0, f"failed at a={a} b={b}"
     return True, 0.0, f"{len(pairings)} pairings x 4 index pairs"
 
 
 def anticommutation_ii_ee(pairings):
     """{i_a, i_b} = 0 and {e_a, e_b} = 0."""
+    ext = {b: _ext(b) for b in (1, 2)}
     for B in pairings:
+        ints = {a: _int(a, B) for a in (1, 2)}
         for a in (1, 2):
             for b in (1, 2):
-                if not _anticommutes_to(_int(a, B), _int(b, B)):
+                if not _anticommutes_to(ints[a], ints[b]):
                     return False, 1.0, "ii"
-                if not _anticommutes_to(_ext(a), _ext(b)):
+                if not _anticommutes_to(ext[a], ext[b]):
                     return False, 1.0, "ee"
     return True, 0.0, ""
 
@@ -161,11 +179,13 @@ def anticommutation_ii_ee(pairings):
 def susy_invariance(pairings):
     """Every q/qbar anticommutes with every d/dbar."""
     for B in pairings:
+        ops = {(make, a): _with_images(make(a, B))
+               for make in (q_action, qbar_action, d_action, dbar_action) for a in (1, 2)}
         for a in (1, 2):
             for b in (1, 2):
-                for qop in (q_action(a, B), qbar_action(a, B)):
-                    for dop in (d_action(b, B), dbar_action(b, B)):
-                        if not _anticommutes_to(qop, dop):
+                for qmake in (q_action, qbar_action):
+                    for dmake in (d_action, dbar_action):
+                        if not _anticommutes_to(ops[qmake, a], ops[dmake, b]):
                             return False, 1.0, f"a={a} b={b}"
     return True, 0.0, f"16 graded commutators x {len(pairings)} pairings"
 
@@ -188,7 +208,7 @@ def chiral_kernel(pairings):
         ns = chiral_kernel_nullspace(B)
         if len(ns) != 4:
             return False, 1.0, f"nullspace dim {len(ns)}"
-        d1, d2 = build_dbar(1, B), build_dbar(2, B)
+        d1, d2 = dbar_action(1, B), dbar_action(2, B)
         for v in ker:
             if not (d1(v).is_zero() and d2(v).is_zero()):
                 return False, 1.0, "closed form not annihilated"
@@ -247,17 +267,18 @@ def zeta_intertwining(fs):
     star((D^2 f)^) = -zeta_{d^2}(fhat)."""
     for f in fs:
         fhat = sft.super_ft(f)
+        pairing = functools.cache(gamma_pair)  # B(q) once per momentum of fhat
         for a in (1, 2):
             rhs = sft.SuperFunction({}, "momentum")
             for b in (1, 2):
                 e = conventions.EPS_LOWER[a - 1][b - 1]
                 if e:
                     rhs = rhs + QC(0, e) * sft.apply_zeta_momentum(
-                        lambda q, b=b: sym.zeta_dbar_action(q, b), fhat)
+                        lambda q, b=b: dbar_action(b, pairing(q)), fhat)
             if sft.super_ft(sft.apply_Dbar(a, f)) != rhs:
                 return False, 1.0, f"Dbar_{a} intertwining"
         if sft.super_ft(sft.apply_D2(f)) != (-1) * sft.apply_zeta_momentum(
-                sym.zeta_d2_action, fhat):
+                lambda q: d2_action(pairing(q)), fhat):
             return False, 1.0, "D2 intertwining"
     return True, 0.0, f"Dbar and D2 intertwining, {len(fs)} trials"
 
@@ -282,24 +303,29 @@ def cbh_group_law(triples):
 
 # -- the bracket table ----------------------------------------------------------------
 
-def _bracket(n1, a, n2, b, f):
-    o1, o2 = _ODD_OPS[n1], _ODD_OPS[n2]
-    return sft.graded_bracket(lambda g: o1(a, g), lambda g: o2(b, g), f)
-
-
 def bracket_table(cases):
     """[Q,Qbar] = -2 Gamma P, [D,Dbar] = +2 Gamma P and the eight vanishing
-    brackets, on superfunctions f of the single momentum q of each case."""
+    brackets, on superfunctions f of the single momentum q of each case.
+    Each image op_a f, and each op_a op_b f, is computed at most once per case."""
     for q, f in cases:
         gl = gamma_lower(q)
+        once = {(n, a): op(a, f) for n, op in _ODD_OPS.items() for a in (1, 2)}
+
+        @functools.cache
+        def twice(n1, a, n2, b):
+            return _ODD_OPS[n1](a, once[n2, b])
+
+        def bracket(n1, a, n2, b):
+            return twice(n1, a, n2, b) + twice(n2, b, n1, a)
+
         for a in (1, 2):
             for b in (1, 2):
-                if _bracket("Q", a, "Qbar", b, f) != (-2 * gl[a - 1][b - 1]) * f:
+                if bracket("Q", a, "Qbar", b) != (-2 * gl[a - 1][b - 1]) * f:
                     return False, 1.0, "[Q,Qbar] != -2 Gamma P"
-                if _bracket("D", a, "Dbar", b, f) != (2 * gl[a - 1][b - 1]) * f:
+                if bracket("D", a, "Dbar", b) != (2 * gl[a - 1][b - 1]) * f:
                     return False, 1.0, "[D,Dbar] != +2 Gamma P"
                 for n1, n2 in _VANISHING:
-                    if not _bracket(n1, a, n2, b, f).is_zero():
+                    if not bracket(n1, a, n2, b).is_zero():
                         return False, 1.0, f"[{n1},{n2}] != 0"
     return True, 0.0, f"full table at {len({tuple(q) for q, _ in cases})} rational momenta"
 

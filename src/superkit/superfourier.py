@@ -5,6 +5,12 @@ one plane-wave sum per theta monomial.  Spacetime integrals are replaced by
 finite plane-wave sums: the bosonic transform of ``a e^{i<q,x>}`` is the
 coefficient ``a`` at momentum ``q``, and the purely odd part of the super
 Fourier transform is the symplectic Hodge star.
+
+The public constructors coerce and check outside data.  Values the package
+builds itself go through ``PlaneWaveFn._of``, ``SuperFunction._of`` and
+``GrassElt._of``, which skip the coercion and only drop zero coefficients
+and empty components; so no stored coefficient is zero, and ``is_zero()`` at
+tolerance 0 is an emptiness test.
 """
 
 from __future__ import annotations
@@ -14,6 +20,10 @@ from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
 from .grassmann import (MONOMIALS, Multivector, apply_generators, koszul_sign,
                         mono_key, mono_mask, mask_from_key, minus_set, plus_set)
 from .spin_geometry import pair_covector
+
+
+_ZERO = QC(0)
+_I = QC(0, 1)
 
 
 class SideMismatch(ValueError):
@@ -74,6 +84,14 @@ class PlaneWaveFn:
                     self.terms[MomentumKey(q)] = a
 
     @classmethod
+    def _of(cls, terms):
+        """A sum of coefficients the package computed: drops zeros, no coercion.
+        Every key must already be a MomentumKey."""
+        pw = object.__new__(cls)
+        pw.terms = {q: a for q, a in terms.items() if a}
+        return pw
+
+    @classmethod
     def wave(cls, amplitude, momentum, sign=1):
         q = MomentumKey(momentum)
         return cls({q if sign >= 0 else -q: amplitude})
@@ -87,27 +105,32 @@ class PlaneWaveFn:
         for q, a in other.terms.items():
             prev = out.get(q)
             out[q] = a if prev is None else prev + a
-        return PlaneWaveFn(out)
+        return PlaneWaveFn._of(out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, s):
-        return PlaneWaveFn({q: a * s for q, a in self.terms.items()})
+        s = coerce(s)
+        return PlaneWaveFn._of({q: a * s for q, a in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return (-1) * self
+        return PlaneWaveFn._of({q: -a for q, a in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, PlaneWaveFn):
             return NotImplemented
+        if self.terms == other.terms:
+            return True
         keys = set(self.terms) | set(other.terms)
-        return all(scal_is_zero(self.terms.get(k, QC(0)) - other.terms.get(k, QC(0)))
+        return all(scal_is_zero(self.terms.get(k, _ZERO) - other.terms.get(k, _ZERO))
                    for k in keys)
 
     def is_zero(self, tol=0.0):
+        if not tol:
+            return not self.terms
         return all(scal_is_zero(a, tol) for a in self.terms.values())
 
     def max_abs(self):
@@ -115,23 +138,21 @@ class PlaneWaveFn:
 
     def derivative(self, mu):
         """d/dx^mu: multiplies each term by i q_mu."""
-        return PlaneWaveFn({q: a * QC(0, 1) * q[mu] for q, a in self.terms.items()})
+        return PlaneWaveFn._of({q: a * _I * q[mu] for q, a in self.terms.items()})
 
     def gamma_derivative(self, gamma_vec):
         """sum_mu gamma^mu d/dx^mu for a covector-table entry gamma_vec."""
-        out = {}
-        for q, a in self.terms.items():
-            out[q] = a * QC(0, 1) * pair_covector(q, gamma_vec)
-        return PlaneWaveFn(out)
+        return PlaneWaveFn._of({q: a * _I * pair_covector(q, gamma_vec)
+                                for q, a in self.terms.items()})
 
     def conjugate(self):
         """Pointwise complex conjugate: conj(a) at the reflected momentum."""
-        return PlaneWaveFn({-q: conj(a) for q, a in self.terms.items()})
+        return PlaneWaveFn._of({-q: conj(a) for q, a in self.terms.items()})
 
     def box(self):
         """The wave operator: each term times -<q,q>."""
         from .spin_geometry import minkowski_norm2
-        return PlaneWaveFn({q: a * (-minkowski_norm2(q)) for q, a in self.terms.items()})
+        return PlaneWaveFn._of({q: a * (-minkowski_norm2(q)) for q, a in self.terms.items()})
 
     def momenta(self):
         return set(self.terms)
@@ -174,6 +195,15 @@ class SuperFunction:
                 if isinstance(g, PlaneWaveFn) and not g.is_zero():
                     self.comps[m] = g
 
+    @classmethod
+    def _of(cls, comps, side):
+        """A superfunction of plane-wave sums the package computed: drops
+        empty components, no checks."""
+        f = object.__new__(cls)
+        f.side = side
+        f.comps = {m: g for m, g in comps.items() if g.terms}
+        return f
+
     def comp(self, mask):
         return self.comps.get(mask, PlaneWaveFn.zero())
 
@@ -182,14 +212,17 @@ class SuperFunction:
             raise SideMismatch("cannot add superfunctions on different sides")
         out = dict(self.comps)
         for m, g in other.comps.items():
-            out[m] = out.get(m, PlaneWaveFn.zero()) + g
-        return SuperFunction(out, self.side)
+            prev = out.get(m)
+            out[m] = g if prev is None else prev + g
+        return SuperFunction._of(out, self.side)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, s):
-        return SuperFunction({m: g * s for m, g in self.comps.items()}, self.side)
+        s = coerce(s)
+        return SuperFunction._of({m: PlaneWaveFn._of({q: a * s for q, a in g.terms.items()})
+                                  for m, g in self.comps.items()}, self.side)
 
     __rmul__ = __mul__
 
@@ -202,6 +235,8 @@ class SuperFunction:
         return all(self.comp(k) == other.comp(k) for k in keys)
 
     def is_zero(self, tol=0.0):
+        if not tol:
+            return not self.comps
         return all(g.is_zero(tol) for g in self.comps.values())
 
     def max_abs(self):
@@ -214,7 +249,7 @@ class SuperFunction:
     def at_momentum(self, q):
         """Multivector of coefficients at one momentum key."""
         q = MomentumKey(q)
-        return Multivector({m: g.terms[q] for m, g in self.comps.items() if q in g.terms})
+        return Multivector._of({m: g.terms[q] for m, g in self.comps.items() if q in g.terms})
 
     def all_momenta(self):
         out = set()
@@ -279,8 +314,10 @@ def super_ft(f):
     out = {}
     for m, g in f.comps.items():
         tgt, fac = STAR_TABLE[m]
-        out[tgt] = out.get(tgt, PlaneWaveFn.zero()) + fac * g
-    return SuperFunction(out, side="momentum")
+        g = fac * g
+        prev = out.get(tgt)
+        out[tgt] = g if prev is None else prev + g
+    return SuperFunction._of(out, "momentum")
 
 
 def inverse_super_ft(fhat):
@@ -288,8 +325,10 @@ def inverse_super_ft(fhat):
     out = {}
     for tgt, g in fhat.comps.items():
         m, fac = _STAR_INVERSE[tgt]
-        out[m] = out.get(m, PlaneWaveFn.zero()) + g * (QC(1) / fac)
-    return SuperFunction(out, side="position")
+        g = g * (QC(1) / fac)
+        prev = out.get(m)
+        out[m] = g if prev is None else prev + g
+    return SuperFunction._of(out, "position")
 
 
 _STAR_INVERSE = {tgt: (m, fac) for m, (tgt, fac) in STAR_TABLE.items()}
@@ -311,14 +350,14 @@ def theta_derivative(a, f, barred=False):
     """Left derivative d/d theta^a (or d/d thetabar^a); on the momentum side,
     d/d tau^a (or d/d taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    return SuperFunction(apply_generators(f.comps, [(None, gen, True)]), f.side)
+    return SuperFunction._of(apply_generators(f.comps, [(None, gen, True)]), f.side)
 
 
 def theta_multiply(a, f, barred=False):
     """Left multiplication by theta^a (or thetabar^a); on the momentum side,
     by tau^a (or taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    return SuperFunction(apply_generators(f.comps, [(None, gen, False)]), f.side)
+    return SuperFunction._of(apply_generators(f.comps, [(None, gen, False)]), f.side)
 
 
 def apply_P(mu, f):
@@ -362,7 +401,7 @@ def _odd_operator(a, f, barred, sign):
                     c = -c
                 prev = tgt.get(q)
                 tgt[q] = c if prev is None else prev + c
-    return SuperFunction({m: PlaneWaveFn(t) for m, t in out.items()}, f.side)
+    return SuperFunction._of({m: PlaneWaveFn._of(t) for m, t in out.items()}, f.side)
 
 
 def apply_Q(a, f):
@@ -409,11 +448,6 @@ def apply_Dbar2(f):
     return _eps_square(apply_Dbar, f, conventions.EPS_UPPER)
 
 
-def graded_bracket(op1, op2, f):
-    """{op1, op2} f for odd operators given as callables f -> f."""
-    return op1(op2(f)) + op2(op1(f))
-
-
 # -- tau-side operators on momentum superfunctions ------------------------------
 
 def apply_zeta_momentum(zeta_fn, fhat):
@@ -421,11 +455,9 @@ def apply_zeta_momentum(zeta_fn, fhat):
     fhat.require_side("momentum")
     out = {}
     for q in fhat.all_momenta():
-        mv = fhat.at_momentum(q)
-        img = zeta_fn(q)(mv)
-        for m, c in img.coeffs.items():
-            out.setdefault(m, {})[q] = out.get(m, {}).get(q, QC(0)) + c
-    return SuperFunction({m: PlaneWaveFn(t) for m, t in out.items()}, side="momentum")
+        for m, c in zeta_fn(q)(fhat.at_momentum(q)).coeffs.items():
+            out.setdefault(m, {})[q] = c
+    return SuperFunction._of({m: PlaneWaveFn._of(t) for m, t in out.items()}, "momentum")
 
 
 def exchange_check(f):
@@ -480,7 +512,7 @@ class AuxGrassmann:
     def gen(self, i):
         if not 0 <= i < self.n:
             raise IndexError("generator index out of range")
-        return GrassElt(self, {1 << i: QC(1)})
+        return GrassElt._of(self, {1 << i: QC(1)})
 
 
 class GrassElt:
@@ -497,12 +529,21 @@ class GrassElt:
                 if not scal_is_zero(c):
                     self.coeffs[m] = c
 
+    @classmethod
+    def _of(cls, alg, coeffs):
+        """An element of scalars the package computed: drops zeros, no coercion."""
+        x = object.__new__(cls)
+        x.alg = alg
+        x.coeffs = {m: c for m, c in coeffs.items() if c}
+        return x
+
     def __add__(self, other):
         other = self._lift(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, QC(0)) + c
-        return GrassElt(self.alg, out)
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+        return GrassElt._of(self.alg, out)
 
     __radd__ = __add__
 
@@ -513,7 +554,7 @@ class GrassElt:
         return self._lift(other) + (-1) * self
 
     def __neg__(self):
-        return (-1) * self
+        return GrassElt._of(self.alg, {m: -c for m, c in self.coeffs.items()})
 
     def _lift(self, other):
         if isinstance(other, GrassElt):
@@ -522,18 +563,22 @@ class GrassElt:
 
     def __mul__(self, other):
         if not isinstance(other, GrassElt):
-            return GrassElt(self.alg, {m: c * other for m, c in self.coeffs.items()})
+            other = coerce(other)
+            return GrassElt._of(self.alg, {m: c * other for m, c in self.coeffs.items()})
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
                 if ma & mb:
                     continue
                 key = ma | mb
-                out[key] = out.get(key, QC(0)) + ca * cb * koszul_sign(ma, mb)
-        return GrassElt(self.alg, out)
+                c = ca * cb if koszul_sign(ma, mb) > 0 else -(ca * cb)
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        return GrassElt._of(self.alg, out)
 
     def __rmul__(self, other):
-        return GrassElt(self.alg, {m: other * c for m, c in self.coeffs.items()})
+        other = coerce(other)
+        return GrassElt._of(self.alg, {m: other * c for m, c in self.coeffs.items()})
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -559,7 +604,7 @@ class GrassElt:
         for m, c in self.coeffs.items():
             k = bin(m).count("1")
             out[m] = conj(c) * ((-1) ** (k * (k - 1) // 2))
-        return GrassElt(self.alg, out)
+        return GrassElt._of(self.alg, out)
 
     def __repr__(self):
         return f"GrassElt({self.coeffs!r})"

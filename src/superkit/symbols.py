@@ -17,7 +17,7 @@ import numpy as np
 from . import conventions, grassmann, linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
 from .grassmann import (EPS, EndoW, build_d2, build_dbar2, build_i2, build_int_minus,
-                        build_int_plus, d2_action, dbar_action)
+                        build_int_plus)
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -103,16 +103,6 @@ def _symbol_coefficients(zeta, table_ids):
     coeffs = np.stack([c0, *linear, *quadratic])
     coeffs.setflags(write=False)
     return coeffs, _builder_tables()
-
-
-# sparse-action variants (same operators, no dense matrix assembly)
-
-def zeta_dbar_action(p, a):
-    return dbar_action(a, gamma_pair(p))
-
-
-def zeta_d2_action(p):
-    return d2_action(gamma_pair(p), EPS)
 
 
 def propagate(ops, p, m, tol=1e-9):

@@ -1,18 +1,19 @@
 import numpy as np
+import pytest
 
 from conftest import rand_qc
 
-from superkit import suites
-from superkit.exactnum import QC
+from superkit import linalg, suites
+from superkit.exactnum import QC, coerce, scal_is_zero
 from superkit.grassmann import (DIM, EndoW, MONOMIALS, Multivector,
                                 PairingMatrix, anticommutator, build_d, build_d2,
                                 build_d2_factorized, build_dbar, build_dbar2,
                                 build_dbar2_factorized, build_e2, build_i2,
                                 build_q, chiral_kernel, chiral_kernel_nullspace, conjugate_w,
-                                contract_gen, degree,
+                                contract_gen, d_action, dbar_action, degree,
                                 ext_minus, ext_plus, int_minus, int_plus, koszul_sign,
                                 mono_mask, mono_key, mask_from_key, parity, plus_set,
-                                minus_set, wedge_gen)
+                                minus_set, q_action, qbar_action, wedge_gen)
 from superkit.suites import rand_pairing
 
 
@@ -317,3 +318,114 @@ def test_endow_array_form_call_and_parity(rng):
     assert dense.parity() == "odd"
     assert (dense @ dense).parity() == "even"
     assert (dense + EndoW.identity()).parity() == "mixed"
+
+
+# -- one-pass d/q actions against the two-pass ext +- int reference ------------
+
+def _two_pass(kind, a, B, mv):
+    """The action as the sum of its exterior and interior parts."""
+    ext, inner = (ext_plus, int_plus) if kind in ("d", "q") else (ext_minus, int_minus)
+    e, i = ext(a, mv), inner(a, B, mv)
+    return e + i if kind in ("d", "dbar") else e - i
+
+
+ACTIONS = {"d": d_action, "dbar": dbar_action, "q": q_action, "qbar": qbar_action}
+
+
+def _rand_multivector(rng):
+    return Multivector({m: rand_qc(rng) for m in rng.sample(MONOMIALS, rng.randint(1, 16))})
+
+
+@pytest.mark.parametrize("kind", sorted(ACTIONS))
+def test_one_pass_actions_equal_ext_plus_minus_int(rng, kind):
+    for B in [PairingMatrix.identity()] + [rand_pairing(rng) for _ in range(4)]:
+        for a in (1, 2):
+            act = ACTIONS[kind](a, B)
+            vectors = [Multivector.basis(m) for m in MONOMIALS]
+            vectors += [_rand_multivector(rng) for _ in range(6)]
+            for mv in vectors:
+                assert act(mv) == _two_pass(kind, a, B, mv)
+
+
+@pytest.mark.parametrize("kind", sorted(ACTIONS))
+def test_one_pass_actions_match_ext_plus_minus_int_at_float_pairings(rng, kind):
+    B = PairingMatrix([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
+                       for _ in range(2)])
+    for a in (1, 2):
+        act = ACTIONS[kind](a, B)
+        for _ in range(6):
+            mv = Multivector({m: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for m in MONOMIALS})
+            assert (act(mv) - _two_pass(kind, a, B, mv)).max_abs() <= 1e-12
+
+
+# -- sparse elimination against a dense Gauss-Jordan reference -----------------
+
+def _dense_row_echelon(mat, tol=0.0):
+    """Gauss-Jordan elimination that touches every entry of every row."""
+    m = [[coerce(x) for x in row] for row in mat]
+    rows, cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not scal_is_zero(m[i][c], tol)), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            if i != r and not scal_is_zero(m[i][c], tol):
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _dense_null_space(mat, tol=0.0):
+    rref, pivots = _dense_row_echelon(mat, tol)
+    basis = []
+    for fc in (c for c in range(len(mat[0])) if c not in pivots):
+        v = [QC(0)] * len(mat[0])
+        v[fc] = QC(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _rand_matrix(rng, entry, density, zero=0):
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    return [[entry() if rng.random() < density else zero for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+def test_sparse_elimination_equals_dense_reference_exact(rng, density):
+    for _ in range(40):
+        mat = _rand_matrix(rng, lambda: rand_qc(rng), density)
+        if rng.random() < 0.3:  # a dependent row
+            mat.append([2 * x - y for x, y in zip(mat[0], mat[-1])])
+        assert linalg.row_echelon(mat) == _dense_row_echelon(mat)
+        assert linalg.rank(mat) == len(_dense_row_echelon(mat)[1])
+        assert linalg.null_space(mat) == _dense_null_space(mat)
+
+
+@pytest.mark.parametrize("density,zero", [(0.3, 0j), (1.0, 0j), (0.3, 0)],
+                         ids=["sparse", "dense", "exact-zeros"])
+def test_sparse_elimination_equals_dense_reference_float(rng, density, zero):
+    tol = 1e-9
+    for _ in range(40):
+        mat = _rand_matrix(rng, lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                           density, zero)
+        mat.append([x + 1e-12 * y for x, y in zip(mat[0], mat[-1])])  # rank-deficient to tol
+        got, want = linalg.row_echelon(mat, tol), _dense_row_echelon(mat, tol)
+        got_ns, want_ns = linalg.null_space(mat, tol), _dense_null_space(mat, tol)
+        assert linalg.rank(mat, tol) == len(want[1])
+        if zero == 0:
+            # exact zeros are skipped: equal values, though QC(0) may stand for 0j
+            assert got == want and got_ns == want_ns
+        else:
+            # float entries are never skipped: bit for bit, signed zeros included
+            assert repr(got) == repr(want) and repr(got_ns) == repr(want_ns)

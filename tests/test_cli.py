@@ -118,6 +118,19 @@ def test_pipeline_rest_momentum(capsys):
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
+@pytest.mark.parametrize("command", ["pipeline", "wz-check"])
+def test_chirality_is_tested_once(capsys, monkeypatch, command):
+    """pipeline reports the chirality check and wz-check lets wz_operator
+    test it; neither tests the same superfunction again."""
+    from superkit import components
+    seen = []
+    is_chiral = components.is_chiral
+    monkeypatch.setattr(components, "is_chiral", lambda f, tol=0.0: seen.append(f)
+                        or is_chiral(f, tol))
+    code, _ = run(capsys, command, "--mass", "1", "--momentum", "[[5,4],[3,4],0,0]", "--json")
+    assert code == 0 and len(seen) == 1
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_pipeline_grid_at_rest(capsys, seed):
     # the refined grid must cover the same domain, or the kg ratio mixes the

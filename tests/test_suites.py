@@ -6,12 +6,13 @@ expects a pass, then breaks one sign convention, table or operator that the
 check depends on and expects a fail.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from superkit import conventions, grassmann, suites
+from superkit import cli, conventions, grassmann, suites
 from superkit import superfourier as sft
 from superkit.exactnum import QC
 from superkit.grassmann import PairingMatrix, build_d2, build_dbar2
@@ -116,3 +117,29 @@ def test_documented_red_check_can_pass(monkeypatch):
     monkeypatch.setattr(suites, "build_d2_factorized", build_d2)
     monkeypatch.setattr(suites, "build_dbar2_factorized", build_dbar2)
     assert suites.d2_route_equivalence(pairings)[0] is True
+
+
+def test_generator_sign_break_fails_brackets_intertwining_and_wz(monkeypatch, capsys):
+    """Under this break (tau^1 wedged onto tau-bar^2 with the wrong sign) the
+    bracket table, the zeta intertwining and the pipeline's wz_vanishes all
+    fail.  D-bar^2 stays composed from four odd passes: the two-pass form
+    (eps^12 - eps^21) Dbar_1 Dbar_2, which assumes {Dbar_1, Dbar_2} = 0,
+    leaves wz_vanishes green under this break and under 7 other single-sign
+    breaks of GEN_TABLE."""
+    rng = random.Random(11)
+    q = suites.rand_momentum(rng)
+    cases = [(q, sft.single_wave(mask, QC(1), q)) for mask in (0, 5, 10, 15)]
+    fs = _superfunctions(rng)
+    argv = ["pipeline", "--mass", "1", "--momentum", "[[5,4],[3,4],0,0]", "--json"]
+
+    def wz_status():
+        cli.main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return {c["id"]: c["status"] for c in checks}["wz_vanishes"]
+
+    assert suites.bracket_table(cases)[0] and suites.zeta_intertwining(fs)[0]
+    assert wz_status() == "pass"
+    monkeypatch.setattr(grassmann, "GEN_TABLE", _gen_table(0, 8))
+    assert not suites.bracket_table(cases)[0]
+    assert not suites.zeta_intertwining(fs)[0]
+    assert wz_status() == "fail"

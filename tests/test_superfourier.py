@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from conftest import rand_momentum, rand_qc, rand_superfunction
 from superkit import suites
 from superkit.conventions import GAMMA_LOWER
 from superkit.exactnum import QC
-from superkit.grassmann import MONOMIALS, Multivector, mono_mask
+from superkit.grassmann import (MONOMIALS, Multivector, PairingMatrix, d_action, dbar_action,
+                                mono_mask, q_action, qbar_action)
 from superkit.suites import STAR_DISPLAY, rand_even, rand_superpoint
 from superkit.superfourier import (AuxGrassmann, GradeMismatch, MomentumKey,
                                    PlaneWaveFn,
@@ -327,3 +329,49 @@ def test_superfunction_json_round_trip(rng):
     f2 = SuperFunction.from_json(f.to_json())
     assert (f - f2).max_abs() < 1e-12
     assert f2.side == "position"
+
+
+# -- no stored zeros ------------------------------------------------------------------
+
+# few coefficient values and momenta, so sums and operator images cancel often
+_COEF = st.sampled_from([QC(1), QC(-1), QC(0, 1), QC(2, -1), QC(0)])
+_MOMENTA = [MomentumKey(q) for q in ((F2(1), F2(0), F2(0), F2(0)),
+                                     (F2(2), F2(1), F2(0), F2(1, 2)),
+                                     (F2(-1), F2(0), F2(3, 4), F2(0)))]
+_PW = st.dictionaries(st.sampled_from(_MOMENTA), _COEF, max_size=3).map(PlaneWaveFn)
+_SF = st.dictionaries(st.sampled_from(MONOMIALS), _PW, max_size=5).map(
+    lambda comps: SuperFunction(comps, "position"))
+_MV = st.dictionaries(st.sampled_from(MONOMIALS), _COEF, max_size=6).map(Multivector)
+_SCALAR = st.sampled_from([0, 1, -1, QC(0), QC(1, 1), F2(-1, 2)])
+
+
+def _clean_pw(g):
+    return all(g.terms.values())
+
+
+def _clean_sf(f):
+    return all(g.terms and _clean_pw(g) for g in f.comps.values())
+
+
+@given(_SF, _SF, _SCALAR)
+def test_superfunctions_never_store_zeros(f, g, s):
+    results = [f + g, f - g, f - f, f + (-1) * f, f * s, s * f, apply_D2(f)]
+    results += [op(a, f) for op in (apply_Q, apply_Qbar, apply_D, apply_Dbar) for a in (1, 2)]
+    assert all(_clean_sf(h) for h in results)
+    assert (f - f).is_zero() and not (f - f).comps
+
+
+@given(_PW, _PW, _SCALAR)
+def test_plane_wave_sums_never_store_zeros(g, h, s):
+    assert all(_clean_pw(x) for x in (g + h, g - h, g - g, g * s, s * g, -g))
+    assert (g - g).is_zero() and not (g - g).terms
+
+
+@given(_MV, _MV, _SCALAR, st.sampled_from([1, 2]))
+def test_multivectors_never_store_zeros(u, v, s, a):
+    B = suites.rand_pairing(random.Random(a))
+    results = [u + v, u - v, u - u, u * s, s * u, -u]
+    results += [act(a, B)(u) for act in (d_action, dbar_action, q_action, qbar_action)]
+    results += [act(a, PairingMatrix.identity())(u)
+                for act in (d_action, dbar_action, q_action, qbar_action)]
+    assert all(all(x.coeffs.values()) for x in results)
