@@ -285,20 +285,30 @@ def ext_minus(a, mv):
     return _apply(mv, [(None, a + 1, False)])
 
 
-def _contractions(pairs, sign=1):
-    """Contraction terms (scale, gen, True) of the nonzero (scale, gen) pairs,
-    each scale times `sign`."""
+def _contractions(pairs, sign):
+    """Contraction terms (sign * scale, gen, True) of the (scale, gen) pairs
+    with a nonzero scale."""
     return [(s if sign > 0 else -s, gen, True) for s, gen in pairs if not scal_is_zero(s)]
+
+
+def _int_plus_terms(a, B, sign=1):
+    """Terms of sign * i_{tau^a}: contract taubar^b with coefficient B[a][b]."""
+    return _contractions([(B[a, b], b + 1) for b in (1, 2)], sign)
+
+
+def _int_minus_terms(a, B, sign=1):
+    """Terms of sign * i_{taubar^a}: contract tau^b with coefficient B[b][a]."""
+    return _contractions([(B[b, a], b - 1) for b in (1, 2)], sign)
 
 
 def int_plus(a, B, mv):
     """Interior product i_{tau^a}: contracts taubar^b with coefficient B[a][b]."""
-    return _apply(mv, _contractions([(B[a, b], b + 1) for b in (1, 2)]))
+    return _apply(mv, _int_plus_terms(a, B))
 
 
 def int_minus(a, B, mv):
     """Interior product i_{taubar^a}: contracts tau^b with coefficient B[b][a]."""
-    return _apply(mv, _contractions([(B[b, a], b - 1) for b in (1, 2)]))
+    return _apply(mv, _int_minus_terms(a, B))
 
 
 # -- endomorphisms ---------------------------------------------------------
@@ -418,28 +428,27 @@ def anticommutator(a, b):
 # Multivector); build_* wraps them into dense EndoW matrices when a matrix
 # is wanted.  Compositions stay sparse, which keeps exact arithmetic cheap.
 
-def _one_pass(wedge, pairs, sign):
-    """The action e + sign * i: the wedge by generator `wedge` plus `sign`
-    times the contractions of the (pairing entry, generator) `pairs`, as one
+def _one_pass(wedge, contractions):
+    """The wedge by generator `wedge` plus the contraction terms, as one
     generator sum built here, so each application is one pass."""
-    terms = [(None, wedge, False), *_contractions(pairs, sign)]
+    terms = [(None, wedge, False), *contractions]
     return lambda mv: _apply(mv, terms)
 
 
 def d_action(a, B):
-    return _one_pass(a - 1, [(B[a, b], b + 1) for b in (1, 2)], 1)
+    return _one_pass(a - 1, _int_plus_terms(a, B))
 
 
 def dbar_action(a, B):
-    return _one_pass(a + 1, [(B[b, a], b - 1) for b in (1, 2)], 1)
+    return _one_pass(a + 1, _int_minus_terms(a, B))
 
 
 def q_action(a, B):
-    return _one_pass(a - 1, [(B[a, b], b + 1) for b in (1, 2)], -1)
+    return _one_pass(a - 1, _int_plus_terms(a, B, -1))
 
 
 def qbar_action(a, B):
-    return _one_pass(a + 1, [(B[b, a], b - 1) for b in (1, 2)], -1)
+    return _one_pass(a + 1, _int_minus_terms(a, B, -1))
 
 
 def _eps_compose(acts, eps):
