@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each command of MATRIX runs in-process through ``superkit.cli.main``; its JSON
-report, without the per-check ``runtime_ms``, goes to ``<name>.json`` next to
-the argv, the exit code and the tolerances of its float fields.
+Each command of MATRIX runs in-process through ``superkit.cli.main``, from the
+repository root, so file arguments are relative to it (inputs live in
+``inputs/``).  Its JSON output, without the per-check ``runtime_ms``, goes to
+``<name>.json`` next to the argv, the exit code and the tolerances of its float
+fields.
 ``tests/test_golden.py`` reruns every file and compares.  Regenerate only to
 absorb a change that is explained, and list every changed field with it.
 """
@@ -20,8 +22,10 @@ from pathlib import Path
 from superkit import cli
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
 
 EXACT_P = "[[5,4],[3,4],0,0]"
+EXACT_P2 = "[2,1,1,1]"
 FLOAT_P = "[1.25,0.6,0.0,0.45]"  # on the mass-1 shell up to rounding
 GRID = ["--grid", "9,0.2"]
 
@@ -32,25 +36,38 @@ IDENTITIES_TOL = {"symbols.propagation_route": {"max_error": 1e-12}}
 PIPELINE_FLOAT_TOL = {"wz_vanishes": {"max_error": 1e-12},
                       "component_residuals": {"max_error": 1e-12},
                       "grid_convergence": {"max_error": 1e-9, "detail": 0.01}}
+GRID_TOL = {"grid_convergence": {"max_error": 1e-9, "detail": 0.01}}
 
 MATRIX = {
     **{f"identities_seed{s}": (["identities", "--suite", "all", "--seed", str(s), "--json"],
                                IDENTITIES_TOL) for s in range(10)},
     "pipeline_exact": (["pipeline", "--mass", "1", "--momentum", EXACT_P, "--json"], {}),
     "pipeline_exact_grid": (["pipeline", "--mass", "1", "--momentum", EXACT_P, *GRID,
-                             "--json"], {"grid_convergence": {"max_error": 1e-9,
-                                                              "detail": 0.01}}),
+                             "--json"], GRID_TOL),
     "pipeline_float": (["pipeline", "--mass", "1", "--momentum", FLOAT_P, "--json"],
                        PIPELINE_FLOAT_TOL),
     "pipeline_float_grid": (["pipeline", "--mass", "1", "--momentum", FLOAT_P, *GRID,
                              "--json"], PIPELINE_FLOAT_TOL),
+    **{f"kernel_{sym}_{kind}": (["kernel", "--symbol", sym, "--momentum", p, "--json"], {})
+       for sym in ("dirac", "chiral", "superspin0")
+       for kind, p in (("exact", EXACT_P2), ("float", FLOAT_P))},
+    "solve_exact": (["solve", "--momentum", EXACT_P2, "--json"], {}),
+    "wz_check_exact": (["wz-check", "--momentum", EXACT_P2, "--json"], {}),
+    "wz_check_float": (["wz-check", "--momentum", FLOAT_P, "--json"],
+                       {"wz_vanishes": {"max_error": 1e-12}}),
+    "wz_check_exact_grid": (["wz-check", "--momentum", EXACT_P2, *GRID, "--json"], GRID_TOL),
+    "orbit_classify": (["orbit-classify", "--momentum", EXACT_P2, "--json"], {}),
+    "superft_exact": (["superft", "--input", "tests/golden/inputs/superft_exact.json"], {}),
+    "decompose": (["decompose", "--alpha", "1", "--beta", "3/2", "--json"], {}),
+    "multiplet": (["multiplet", "--sigma", "1/2", "--json"], {}),
+    "content": (["content", "--sigma", "1", "--json"], {}),
 }
 
 
 def run(argv):
-    """(exit code, JSON report without runtime_ms) of one in-process CLI run."""
+    """(exit code, JSON output without runtime_ms) of one in-process CLI run."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.chdir(ROOT):
         code = cli.main(argv)
     report = json.loads(out.getvalue())
     for check in report.get("checks", []):
