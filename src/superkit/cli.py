@@ -268,10 +268,20 @@ def cmd_wz_check(args):
     rp.run("wz_vanishes", lambda: _wz_vanishes(f, args.mass, tol, check=True))
     res = cmp.component_reduce(f, args.mass, check=False)
     rp.run("residuals", lambda: (cmp.residuals_vanish(res, tol), 0.0, ""))
+    rp.run("lambda_n_equivalence", lambda: _lambda_n_equivalence(args.momentum, args.mass)
+           if exact else (True, 0.0, "skipped (float momentum)"))
     if args.grid:
         rp.run("grid_convergence", lambda: _grid_convergence(sol, args.mass, args.grid))
     _emit(rp, args)
     return 0 if rp.ok() else 1
+
+
+def _lambda_n_equivalence(p, m, n=4):
+    """Over Lambda_n the WZ solutions at (p, m) are the Lambda_n span of the
+    scalar ones, taken with matching parities (the functor-of-points reading)."""
+    res = cmp.wz_equivalence_check(n, p, m)
+    return res["match"], 0.0, (f"Lambda_{n} module dim {res['module_dim_real']}, "
+                               f"expected {res['expected_dim_real']}")
 
 
 def _emit(report, args):

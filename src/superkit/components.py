@@ -116,13 +116,6 @@ def _conjugate_with_signs(f, signs):
     return SuperFunction._of(out, f.side)
 
 
-def conjugate_sf(f):
-    """The in-place antilinear conjugation c-sharp of the real-superfunction
-    discussion: component at (I, J) goes to (J, I) with sign (-1)^(|I||J|)."""
-    f.require_side("position")
-    return _conjugate_with_signs(f, conventions.CSHARP_SIGNS)
-
-
 def wz_conjugate(f):
     """The graded-reversal dagger entering the Wess-Zumino operator (L8)."""
     f.require_side("position")
@@ -387,12 +380,6 @@ def _twisted_matrix(Lm, Am, twist):
         mat.append(re_row)
         mat.append(im_row)
     return mat
-
-
-def _wz_columns(p, m):
-    """Real-linear matrix of the WZ operator on two-frequency chiral data:
-    16 real unknowns, rows re/im of every (monomial, momentum) output."""
-    return _twisted_matrix(*_wz_linear_antilinear(p, m), 1)
 
 
 def _lambda_module_dims(N, dims):

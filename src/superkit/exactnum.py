@@ -151,9 +151,6 @@ class QC:
     def conjugate(self):
         return _canonical(self._a, -self._b, self._d)
 
-    def abs2(self):
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 

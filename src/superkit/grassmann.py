@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactnum import QC, coerce, conj, scal_is_zero
+from .exactnum import QC, coerce, scal_is_zero
 from . import linalg
 
 N_GEN = 4
@@ -418,10 +418,6 @@ class EndoW:
         return [[to_pairs(x) for x in row] for row in self.mat]
 
 
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
 # -- the d / q family ------------------------------------------------------
 #
 # Operators are assembled as sparse actions (closures Multivector ->
@@ -495,18 +491,6 @@ def i2bar_action(B, eps=EPS):
     return lambda mv: half * inner(mv)
 
 
-def build_ext_minus(a):
-    return EndoW.from_action(lambda mv: ext_minus(a, mv))
-
-
-def build_int_plus(a, B):
-    return EndoW.from_action(lambda mv: int_plus(a, B, mv))
-
-
-def build_int_minus(a, B):
-    return EndoW.from_action(lambda mv: int_minus(a, B, mv))
-
-
 def build_d(a, B):
     """d_{tau^a} = (e_{tau^a} (x) Id) + (Id (x) i_{tau^a})."""
     return EndoW.from_action(d_action(a, B))
@@ -515,10 +499,6 @@ def build_d(a, B):
 def build_dbar(a, B):
     """dbar_{taubar^a} = (Id (x) e_{taubar^a}) + (i_{taubar^a} (x) Id)."""
     return EndoW.from_action(dbar_action(a, B))
-
-
-def build_q(a, B):
-    return EndoW.from_action(q_action(a, B))
 
 
 def build_qbar(a, B):
@@ -582,7 +562,7 @@ def chiral_kernel(B):
 
     The scalar and middle coefficients of X_phi differ in sign from the
     commonly quoted display form; that variant is not annihilated by the
-    Koszul-correct dbar operators (see chiral_kernel_display_form).
+    Koszul-correct dbar operators (acceptance criterion 2 keeps it red).
     """
     b11, b12, b21, b22 = B[1, 1], B[1, 2], B[2, 1], B[2, 2]
     top = mono_mask((1, 2), (1, 2))
@@ -608,30 +588,9 @@ def chiral_kernel(B):
     return [x_phi, x_psi1, x_psi2, x_f]
 
 
-def chiral_kernel_display_form(B):
-    """The commonly quoted closed-form variant: chiral_kernel with the scalar
-    and the four middle coefficients of X_phi negated.  Kept for the
-    comparison suite -- it is NOT annihilated by the dbar operators."""
-    x_phi, x_psi1, x_psi2, x_f = chiral_kernel(B)
-    flip = (0, mono_mask((1,), (1,)), mono_mask((1,), (2,)),
-            mono_mask((2,), (1,)), mono_mask((2,), (2,)))
-    x_phi = Multivector({m: -c if m in flip else c for m, c in x_phi.coeffs.items()})
-    return [x_phi, x_psi1, x_psi2, x_f]
-
-
 def chiral_kernel_nullspace(B, tol=0.0):
     """Null space of the stacked dbar operators by Gaussian elimination."""
     d1 = build_dbar(1, B)
     d2 = build_dbar(2, B)
     stacked = [*d1.mat, *d2.mat]
     return [Multivector.from_vector(v) for v in linalg.null_space(stacked, tol)]
-
-
-def conjugate_w(mv):
-    """Antilinear involution on W: swap plus and minus index sets, conjugate
-    coefficients, all signs +1 (the momentum-space conjugate display)."""
-    out = {}
-    for mask, c in mv.coeffs.items():
-        nm = mono_mask(minus_set(mask), plus_set(mask))
-        out[nm] = conj(c)
-    return Multivector(out)

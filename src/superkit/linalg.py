@@ -79,23 +79,6 @@ def null_space(mat, tol=0.0):
     return basis
 
 
-def solve(mat, rhs, tol=0.0):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    rref, pivots = row_echelon(aug, tol)
-    for r in range(len(pivots), rows):
-        if not scal_is_zero(rref[r][cols], tol):
-            return None
-    x = [QC(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = rref[r][cols]
-    return x
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     zero = coerce(0)
@@ -119,8 +102,7 @@ def same_span(basis_a, basis_b, tol=0.0):
     """True iff the two lists of vectors span the same subspace."""
     if not basis_a and not basis_b:
         return True
-    dim = len(basis_a[0]) if basis_a else len(basis_b[0])
     ra = rank(list(basis_a), tol) if basis_a else 0
     rb = rank(list(basis_b), tol) if basis_b else 0
     rboth = rank(list(basis_a) + list(basis_b), tol)
-    return ra == rb == rboth and (dim >= 0)
+    return ra == rb == rboth

@@ -82,16 +82,6 @@ class SpinDecomposition:
     def dimension(self):
         return sum((s + 1) * k for s, k in self.mult.items())
 
-    def to_weights(self):
-        out = {}
-        for s, k in self.mult.items():
-            for w in range(-s, s + 1, 2):
-                out[w] = out.get(w, 0) + k
-        return WeightMultiset(out)
-
-    def spins(self):
-        return sorted(self.mult)
-
     def as_spin_dict(self):
         return {s / 2 if s % 2 else s // 2: k for s, k in sorted(self.mult.items())}
 

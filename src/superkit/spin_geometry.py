@@ -8,7 +8,6 @@ orthonormal coframe, signature (+,-,-,-).  Components may be exact
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -124,19 +123,6 @@ class SpinElement:
         return m2_inv_unimodular(m2_dagger(self.a))
 
 
-def act_on_momentum(h, p):
-    """The Lorentz action through B(h.p) = A B(p) A^dagger; returns floats."""
-    B = gamma_pair(p)
-    m = [[as_complex(x) for x in row] for row in B.b]
-    a = [[as_complex(x) for x in row] for row in h.a]
-    out = m2_mul(m2_mul(a, m), m2_dagger(a))
-    p0 = (out[0][0] + out[1][1]) / 2
-    p1 = (out[0][0] - out[1][1]) / 2
-    p2 = (out[0][1] + out[1][0]) / 2
-    p3 = (out[1][0] - out[0][1]) / (2j)
-    return tuple(x.real for x in (p0, p1, p2, p3))
-
-
 def rest_boost(p, m, tol=1e-9):
     """Hermitian positive h_p with B(p) = h_p (m Id) h_p^dagger.
 
@@ -158,16 +144,6 @@ def rest_boost(p, m, tol=1e-9):
     t = cmath.sqrt(tr + 2 * s)
     h = [[(B[0][0] + s) / t, B[0][1] / t], [B[1][0] / t, (B[1][1] + s) / t]]
     return SpinElement(h, check=True, tol=1e-6)
-
-
-def boost_x(eta):
-    """diag(e^{eta/2}, e^{-eta/2}): pure boost along the x^1 axis."""
-    return SpinElement([[math.exp(eta / 2), 0], [0, math.exp(-eta / 2)]], check=False)
-
-
-def spin_action(h, mv):
-    """Algebra automorphism of W induced by the spinor action of h."""
-    return spin_action_endo(h)(mv)
 
 
 def _exterior_2x2(a):

@@ -2,8 +2,9 @@
 
 Each check takes its data (pairings, superfunctions, ``(q, f)`` cases,
 ``(p, m)`` samples) and returns ``(ok, max_error, detail)``.  The exact
-checks compare with zero tolerance; the one float check,
-``propagation_route``, takes the bound from its caller.  The CLI's
+checks compare with zero tolerance; the two checks on float momenta,
+``propagation_route`` and ``dirac_kernel``, take their tolerance from the
+caller (the CLI passes ``SUPERKIT_TOL``).  The CLI's
 ``identities`` suites (``SUITES``) and the test suite call the same
 functions, each with its own seeds and data sizes.
 
@@ -18,6 +19,7 @@ import math
 from fractions import Fraction
 
 from . import conventions, grassmann, linalg
+from . import repdecomp as rep
 from . import superfourier as sft
 from . import symbols as sym
 from .exactnum import QC, coerce
@@ -85,6 +87,16 @@ def rand_shell_sample(rng):
     """(p, m): a float mass in [0.3, 4] and a momentum on its shell."""
     m = rng.uniform(0.3, 4.0)
     return rand_onshell(rng, m), m
+
+
+def rand_divergence_sample(rng):
+    """(alpha, beta, p): alpha, beta in {1/2, 1, 3/2} and an exact momentum
+    with det B(p) != 0."""
+    alpha, beta = (Fraction(rng.randint(1, 3), 2) for _ in range(2))
+    while True:
+        p = rand_momentum(rng)
+        if gamma_pair(p).is_invertible():
+            return alpha, beta, p
 
 
 def rand_superfunction(rng, nterms=1):
@@ -349,24 +361,37 @@ def p_brackets(fs):
 
 def propagation_route(samples, tol):
     """Closed-form d^2, dbar^2, i^2 symbols against the rest-frame operators
-    propagated along the orbit; the error is relative to max(1, m^2)."""
+    propagated along the orbit; the error is relative to max(1, m^2).  ``tol``
+    bounds it and is the shell tolerance of the boost."""
     worst = 0.0
     zetas = (sym.zeta_d2, sym.zeta_dbar2, sym.zeta_i2)
     for p, m in samples:
         rest = (m, 0.0, 0.0, 0.0)
-        for zeta, prop in zip(zetas, sym.propagate([z(rest) for z in zetas], p, m)):
+        for zeta, prop in zip(zetas, sym.propagate([z(rest) for z in zetas], p, m, tol)):
             worst = max(worst, (zeta(p) - prop).max_abs() / max(1.0, m * m))
     return worst <= tol, worst, f"closed form vs propagation, {len(samples)} momenta"
 
 
-def dirac_kernel(samples):
-    """The Dirac symbol has a 2-dimensional kernel on shell and none at 2 p0."""
+def dirac_kernel(samples, tol=None):
+    """The Dirac symbol has a 2-dimensional kernel on shell and none at 2 p0;
+    ``tol`` is the rank tolerance (None: ``dirac_kernel_dim``'s default)."""
     for p, m in samples:
-        if sym.dirac_kernel_dim(p, m) != 2:
+        if sym.dirac_kernel_dim(p, m, tol) != 2:
             return False, 1.0, "on-shell dim != 2"
-        if sym.dirac_kernel_dim((2 * p[0], *p[1:]), m) != 0:
+        if sym.dirac_kernel_dim((2 * p[0], *p[1:]), m, tol) != 0:
             return False, 1.0, "off-shell dim != 0"
     return True, 0.0, f"{len(samples)} momenta"
+
+
+def divergence_kernel(samples):
+    """Where det B(p) != 0 the divergence symbol on Sym^{2a} (x) Sym^{2b} has
+    the top spin a+b of the tensor decomposition as its kernel: dimension
+    2(a+b)+1, exactly."""
+    for alpha, beta, p in samples:
+        top = max(rep.tensor_sym_decompose(alpha, beta).mult)
+        if sym.divergence_kernel_dim(alpha, beta, p) != top + 1:
+            return False, 1.0, f"kernel dim != {top + 1} at alpha={alpha}, beta={beta}"
+    return True, 0.0, f"{len(samples)} (alpha, beta, p) samples"
 
 
 def superspin0_elimination(samples):
@@ -444,9 +469,11 @@ def suite_symbols(rng, tol):
     return [
         ("propagation_route", lambda: propagation_route(
             [rand_shell_sample(rng) for _ in range(30)], tol)),
-        ("dirac_kernel", lambda: dirac_kernel([rand_shell_sample(rng) for _ in range(50)])),
+        ("dirac_kernel", lambda: dirac_kernel([rand_shell_sample(rng) for _ in range(50)], tol)),
         ("superspin0_elimination", lambda: superspin0_elimination(
             [_superspin0_sample(rng) for _ in range(10)])),
+        ("divergence_kernel", lambda: divergence_kernel(
+            [rand_divergence_sample(rng) for _ in range(10)])),
     ]
 
 

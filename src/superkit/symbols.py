@@ -16,8 +16,7 @@ import numpy as np
 
 from . import conventions, grassmann, linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import (EPS, EndoW, build_d2, build_dbar2, build_i2, build_int_minus,
-                        build_int_plus)
+from .grassmann import EPS, EndoW, build_d2, build_dbar2, build_i2
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -27,16 +26,6 @@ class DegenerateOrder(ValueError):
 
 
 # -- closed-form zeta family -------------------------------------------------
-
-def zeta_int(p, side, a):
-    """zeta_{i_{tau^a}}(p) (side 'plus') or zeta_{i_{taubar^a}}(p) (side 'minus')."""
-    B = gamma_pair(p)
-    if side == "plus":
-        return build_int_plus(a, B)
-    if side == "minus":
-        return build_int_minus(a, B)
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
 
 def zeta_d2(p):
     if not momentum_is_exact(p):
@@ -151,25 +140,6 @@ def dirac_kernel_dim(p, m, tol=None):
     if tol is None:
         tol = 0.0 if momentum_is_exact(p) and is_exact(m) else 1e-9
     return 4 - linalg.rank(mat, tol)
-
-
-def dirac_spin_matrix(h):
-    """Spin action on Dirac columns: block diag(A, (A^dagger)^-1).
-
-    Conjugation by it carries gamma(p) to gamma(h.p); together with
-    gamma(me^0)/m - Id it realizes the propagated Dirac selector
-    gamma(p)/m - Id.
-    """
-    from .spin_geometry import m2_dagger, m2_inv_unimodular
-    a = h.a
-    v = m2_inv_unimodular(m2_dagger(a))
-    z = coerce(0)
-    return [
-        [a[0][0], a[0][1], z, z],
-        [a[1][0], a[1][1], z, z],
-        [z, z, v[0][0], v[0][1]],
-        [z, z, v[1][0], v[1][1]],
-    ]
 
 
 # -- divergence symbol on symmetric powers ------------------------------------
@@ -293,19 +263,3 @@ class Superspin0Report:
 
 def superspin0_constraints(p, m):
     return Superspin0Report(p, m)
-
-
-# -- multiplicity --------------------------------------------------------------
-
-def multiplicity(sigma, alpha, beta):
-    """Multiplicity of spin sigma in Sym^{2a} (x) Sym^{2b}: 1 on the ladder
-    |a-b| <= sigma <= a+b with integer steps from a+b, else 0."""
-    two_s, two_a, two_b = int(2 * sigma), int(2 * alpha), int(2 * beta)
-    if (two_s, two_a, two_b) != (2 * sigma, 2 * alpha, 2 * beta):
-        raise ValueError("arguments must be half-integers")
-    if two_s < 0 or two_a < 0 or two_b < 0:
-        return 0
-    lo, hi = abs(two_a - two_b), two_a + two_b
-    if two_s < lo or two_s > hi:
-        return 0
-    return 1 if (hi - two_s) % 2 == 0 else 0

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from superkit.grassmann import MONOMIALS
+from superkit import components as cmp
+from superkit.exactnum import as_complex
+from superkit.grassmann import MONOMIALS, Multivector, chiral_kernel, mono_mask
+from superkit.spin_geometry import gamma_pair, m2_dagger, m2_mul
 from superkit.suites import rand_momentum, rand_qc
 from superkit.superfourier import SuperFunction, single_wave
 
@@ -43,3 +46,47 @@ def rand_sl2(rng):
         if abs(d) > 0.1:
             s = d ** -0.5
             return SpinElement([[x * s for x in row] for row in m])
+
+
+def act_on_momentum(h, p):
+    """The Lorentz action through B(h.p) = A B(p) A^dagger; returns floats."""
+    m = [[as_complex(x) for x in row] for row in gamma_pair(p).b]
+    a = [[as_complex(x) for x in row] for row in h.a]
+    out = m2_mul(m2_mul(a, m), m2_dagger(a))
+    p0 = (out[0][0] + out[1][1]) / 2
+    p1 = (out[0][0] - out[1][1]) / 2
+    p2 = (out[0][1] + out[1][0]) / 2
+    p3 = (out[1][0] - out[0][1]) / (2j)
+    return tuple(x.real for x in (p0, p1, p2, p3))
+
+
+def multiplicity(sigma, alpha, beta):
+    """Multiplicity of spin sigma in Sym^{2a} (x) Sym^{2b}: 1 on the ladder
+    |a-b| <= sigma <= a+b with integer steps from a+b, else 0.  A second
+    route to repdecomp.tensor_sym_decompose."""
+    two_s, two_a, two_b = int(2 * sigma), int(2 * alpha), int(2 * beta)
+    if (two_s, two_a, two_b) != (2 * sigma, 2 * alpha, 2 * beta):
+        raise ValueError("arguments must be half-integers")
+    if two_s < 0 or two_a < 0 or two_b < 0:
+        return 0
+    lo, hi = abs(two_a - two_b), two_a + two_b
+    if two_s < lo or two_s > hi:
+        return 0
+    return 1 if (hi - two_s) % 2 == 0 else 0
+
+
+def chiral_kernel_display_form(B):
+    """The commonly quoted closed-form variant: chiral_kernel with the scalar
+    and the four middle coefficients of X_phi negated.  Kept for the
+    comparison tests -- it is NOT annihilated by the dbar operators."""
+    x_phi, x_psi1, x_psi2, x_f = chiral_kernel(B)
+    flip = (0, mono_mask((1,), (1,)), mono_mask((1,), (2,)),
+            mono_mask((2,), (1,)), mono_mask((2,), (2,)))
+    x_phi = Multivector({m: -c if m in flip else c for m, c in x_phi.coeffs.items()})
+    return [x_phi, x_psi1, x_psi2, x_f]
+
+
+def wz_columns(p, m):
+    """Real-linear matrix of the WZ operator on two-frequency chiral data:
+    16 real unknowns, rows re/im of every (monomial, momentum) output."""
+    return cmp._twisted_matrix(*cmp._wz_linear_antilinear(p, m), 1)

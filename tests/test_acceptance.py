@@ -15,11 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ONSHELL_EXACT, rand_momentum, rand_qc, rand_superfunction
+from conftest import (ONSHELL_EXACT, act_on_momentum, chiral_kernel_display_form,
+                      rand_momentum, rand_qc, rand_superfunction, wz_columns)
 
 from superkit import linalg, suites
 from superkit.exactnum import QC, coerce
-from superkit.grassmann import (PairingMatrix, build_dbar, chiral_kernel_display_form)
+from superkit.grassmann import PairingMatrix, build_dbar
 from superkit.suites import rand_pairing, rand_shell_sample
 from superkit import components as cmp
 from superkit import superfourier as sft
@@ -152,7 +153,7 @@ def test_criterion_5_symbol_equivariance_and_dirac():
     rng = random.Random(7)
     t0 = time.perf_counter()
     from conftest import rand_sl2
-    from superkit.spin_geometry import act_on_momentum, spin_action_endo
+    from superkit.spin_geometry import spin_action_endo
     ok, worst, _ = suites.propagation_route(
         [rand_shell_sample(rng) for _ in range(30)], 1e-9)
     assert ok, f"route error {worst}"
@@ -197,7 +198,7 @@ def test_criterion_7_component_reduction():
     t0 = time.perf_counter()
     # wz = 0 iff {KG, Dirac, F relation} on the plane-wave basis
     for p in (ONSHELL_EXACT[0], ONSHELL_EXACT[1]):
-        wz_kernel = linalg.null_space(cmp._wz_columns(p, 1))
+        wz_kernel = linalg.null_space(wz_columns(p, 1))
         pneg = tuple(-x for x in p)
         cols = []
         for idx in range(8):

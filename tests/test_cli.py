@@ -95,6 +95,17 @@ def test_solve_and_wz_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("momentum, detail", [
+    ("[2,1,1,1]", "Lambda_4 module dim 64, expected 64"),
+    ("[1.25,0.6,0.0,0.45]", "skipped (float momentum)"),
+], ids=["exact", "float"])
+def test_wz_check_reports_lambda_n_equivalence(capsys, momentum, detail):
+    code, out = run(capsys, "wz-check", "--mass", "1", "--momentum", momentum, "--json")
+    assert code == 0
+    check = {c["id"]: c for c in json.loads(out)["checks"]}["lambda_n_equivalence"]
+    assert (check["status"], check["max_error"], check["detail"]) == ("pass", 0.0, detail)
+
+
 def test_superft_files(tmp_path, capsys):
     fin = tmp_path / "f.json"
     fout = tmp_path / "fhat.json"
@@ -219,6 +230,22 @@ def test_bad_superkit_tol_is_a_usage_error(capsys, monkeypatch, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines() == [err.strip()] and err.startswith("superkit: SUPERKIT_TOL: ")
+
+
+def test_superkit_tol_reaches_every_float_check_of_the_symbols_suite(capsys, monkeypatch):
+    """At tolerance 0 the float shell test in the boost and the float rank of
+    the Dirac symbol both fail; the exact checks still pass."""
+    argv = ["identities", "--suite", "symbols", "--json"]
+    monkeypatch.setenv("SUPERKIT_TOL", "0")
+    code, out = run(capsys, *argv)
+    status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert status == {"symbols.propagation_route": "fail", "symbols.dirac_kernel": "fail",
+                      "symbols.superspin0_elimination": "pass",
+                      "symbols.divergence_kernel": "pass"}
+    monkeypatch.delenv("SUPERKIT_TOL")
+    code, out = run(capsys, *argv)
+    assert code == 0
 
 
 def test_superkit_tol_is_read_when_main_runs(capsys, monkeypatch):

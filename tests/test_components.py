@@ -5,20 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ONSHELL_EXACT, rand_momentum, rand_qc, rand_sl2
+from conftest import (ONSHELL_EXACT, act_on_momentum, rand_momentum, rand_qc, rand_sl2,
+                      wz_columns)
 
 from superkit import conventions, linalg
 from superkit.components import (ChiralData, Grid4, GridTooSmall, NotChiral,
-                                 chiral_expand, component_reduce, conjugate_sf,
+                                 chiral_expand, component_reduce,
                                  dirac_residual, extract_chiral, f_residual,
                                  grid_residual, is_chiral, kg_residual,
                                  residuals_vanish, solution_generator, wz_conjugate,
-                                 wz_equivalence_check, wz_operator, _lambda_module_dims,
-                                 _max_abs_interior, _unit_chiral, _wz_columns)
+                                 wz_equivalence_check, wz_operator, _conjugate_with_signs,
+                                 _lambda_module_dims, _max_abs_interior, _unit_chiral)
 from superkit.exactnum import QC, as_complex, coerce, conj
 from superkit.grassmann import mono_mask
-from superkit.spin_geometry import OffOrbit, act_on_momentum, gamma_lower, \
-    minkowski_norm2, rest_boost, spin_action_endo
+from superkit.spin_geometry import OffOrbit, gamma_lower, \
+    minkowski_norm2, spin_action_endo
 from superkit.superfourier import (PlaneWaveFn, SuperFunction, apply_D, apply_Q,
                                    single_wave)
 
@@ -79,6 +80,13 @@ def test_extract_chiral_round_trip(rng):
 
 
 # -- conjugations ------------------------------------------------------------------
+
+def conjugate_sf(f):
+    """The in-place antilinear conjugation c-sharp of the real-superfunction
+    discussion: component at (I, J) goes to (J, I) with sign (-1)^(|I||J|)."""
+    f.require_side("position")
+    return _conjugate_with_signs(f, conventions.CSHARP_SIGNS)
+
 
 def test_conjugate_sf_involution_and_reality(rng):
     for _ in range(5):
@@ -161,7 +169,7 @@ def test_wz_kernel_equals_component_system(rng):
     """wz(f) = 0 iff the Klein-Gordon, Dirac, and F residuals vanish: the two
     linear systems on two-frequency chiral data have identical kernels."""
     for p in (ONSHELL_EXACT[2], ONSHELL_EXACT[3]):
-        wz_mat = _wz_columns(p, 1)
+        wz_mat = wz_columns(p, 1)
         wz_kernel = linalg.null_space(wz_mat)
         pneg = tuple(-x for x in p)
         cols = []

@@ -18,7 +18,9 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from regenerate import run  # noqa: E402
+from regenerate import MATRIX, run  # noqa: E402
+
+from superkit.cli import build_parser  # noqa: E402
 
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
@@ -59,3 +61,9 @@ def test_cli_output_matches_golden(path):
         diffs += [f"{w['id']}.{d}" for field in w
                   if (d := _field_diff(field, w[field], g[field], tols.get(field)))]
     assert not diffs
+
+
+def test_every_command_has_a_golden_case():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    covered = {argv[0] for argv, _ in MATRIX.values()}
+    assert set(sub.choices) - covered == set()

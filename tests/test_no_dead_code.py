@@ -1,80 +1,72 @@
-"""Every function, class and method in superkit must have a caller.
+"""Every function, class and method in superkit is reached from superkit.
 
-A function or class counts as used when its name appears as a whole word on
-some line of ``src/``, ``tests/``, ``perfbench/`` or ``README.md`` that is not
-one of its own ``def``/``class`` lines.  A method counts as used only where
-it can be called: in ``.py`` files as an attribute (``obj.name``) or as a
-word of a string constant that is not a docstring (``getattr(obj, "name")``,
-a traced span name), and in Markdown as a word of a code span.  So a method
-named like a common local variable or an English word does not pass for
-used.  Dunders are called by the language and are exempt.
+A def counts as used only when some other code of ``src/superkit`` refers to
+its name: as an AST ``Name`` (a call, a decorator, a value passed on), as an
+``Attribute`` (``obj.name``, ``module.name``) or in an import.  References
+inside the def's own body (recursion) do not count, and neither do uses in
+``tests/`` or ``perfbench/``, words in string constants or in docs: a test
+oracle belongs in ``tests/``, and a claim of the paper that only a test calls
+needs a command that reports it.  Dunders are called by the language and are
+exempt.  There is no allowlist.
 """
 
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "superkit"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superkit"
 
 
-def _search_files():
-    files = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py"))
-    files += sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("perfbench/*.md"))
-    return files + [ROOT / "README.md"]
-
-
-def _definitions():
-    """(name, path, line, is_method) of every non-dunder def and class in the package."""
-    out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for node in cls.body}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    is_method = id(node) in methods and not isinstance(node, ast.ClassDef)
-                    out.append((node.name, path, node.lineno, is_method))
+def _references(node):
+    """How often `node` and its subtree refer to each name."""
+    out = Counter()
+    for x in ast.walk(node):
+        if isinstance(x, ast.Name):
+            out[x.id] += 1
+        elif isinstance(x, ast.Attribute):
+            out[x.attr] += 1
+        elif isinstance(x, ast.alias):
+            out[x.name.rsplit(".", 1)[-1]] += 1
     return out
 
 
-def _method_uses(path, text):
-    """Names a method may be called by in one file: attribute names and the
-    words of non-docstring string constants in Python, code spans in Markdown."""
-    if path.suffix != ".py":
-        return set(re.findall(r"\w+", " ".join(re.findall(r"`[^`]*`", text))))
-    tree = ast.parse(text)
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                  and ast.get_docstring(node) is not None}
-    words = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            words.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            words.update(re.findall(r"\w+", node.value))
-    return words
+def unreferenced_defs(package=PACKAGE):
+    """``module.name`` of every non-dunder def and class in `package` that no
+    other code of the package refers to."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and total[node.name] == _references(node)[node.name]):
+                unused.append(f"{module}.{node.name}")
+    return unused
 
 
 def test_every_definition_has_a_caller():
-    own_lines, methods, others = {}, set(), set()
-    for name, path, line, is_method in _definitions():
-        own_lines.setdefault(name, set()).add((path, line))
-        (methods if is_method else others).add(name)
-    texts = {path: path.read_text(encoding="utf-8") for path in _search_files()}
-    lines = [(path, no, line) for path, text in texts.items()
-             for no, line in enumerate(text.splitlines(), 1)]
-    method_uses = set().union(*(_method_uses(path, text) for path, text in texts.items()))
+    unused = unreferenced_defs()
+    assert not unused, f"defined in src/ but never referenced from src/: {unused}"
 
-    def word_used(name):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        return any(word.search(text) for path, no, text in lines
-                   if (path, no) not in own_lines[name])
 
-    # a name defined both as a method and as a function or class passes both rules
-    unused = [name for name in sorted(own_lines)
-              if (name in methods and name not in method_uses)
-              or (name in others and not word_used(name))]
-    assert not unused, f"defined but never used: {unused}"
+def test_references_count_only_from_other_package_code(tmp_path):
+    """Recursion, string constants and docstrings are not references; a
+    Name, an Attribute and an import each are."""
+    (tmp_path / "a.py").write_text(
+        'def used_by_name(): pass\n'
+        'def used_by_attr(): pass\n'
+        'def used_by_import(): pass\n'
+        'def only_recursive(n): return only_recursive(n - 1)\n'
+        'def only_in_strings(): pass\n'
+        'def caller():\n'
+        '    """only_in_strings is named here."""\n'
+        '    return used_by_name(), getattr(caller, "only_in_strings")\n'
+        'class Box:\n'
+        '    def method(self): return self.used_by_attr\n',
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        'from a import used_by_import\nimport a\nx = a.Box().method(), a.caller\n',
+        encoding="utf-8")
+    assert unreferenced_defs(tmp_path) == ["a.only_recursive", "a.only_in_strings"]

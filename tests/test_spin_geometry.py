@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_momentum
+from conftest import act_on_momentum, rand_momentum
 
 from superkit.exactnum import QC, as_complex, coerce
-from superkit.grassmann import EndoW, Multivector, PairingMatrix, koszul_sign, mono_mask
+from superkit.grassmann import (EndoW, Multivector, PairingMatrix, ext_minus, int_plus,
+                                koszul_sign, mono_mask)
 from superkit.spin_geometry import (NonPositiveEnergy, OffOrbit, SpinElement,
-                                    act_on_momentum, boost_x, c1, classify_orbit,
+                                    c1, classify_orbit,
                                     conj_zeta, gamma_lower, gamma_pair, m2_dagger,
                                     m2_det, m2_mul, minkowski_norm2, rest_boost,
-                                    spin_action, spin_action_endo)
+                                    spin_action_endo)
 
 
 def test_minkowski_norm_examples():
@@ -115,7 +116,7 @@ def test_spin_action_identity_composition_top(rng):
     rhs = spin_action_endo(h1) @ spin_action_endo(h2)
     assert (lhs - rhs).max_abs() < 1e-9
     top_plus = Multivector.basis(mono_mask((1, 2), ()))
-    out = spin_action(h1, top_plus)
+    out = spin_action_endo(h1)(top_plus)
     assert abs(as_complex(out[mono_mask((1, 2), ())]) - 1) < 1e-9
     assert len(out.coeffs) == 1
     inv = spin_action_endo(h1) @ spin_action_endo(h1.inverse())
@@ -178,7 +179,6 @@ def test_spin_action_kron_matches_koszul_walk(rng):
 def test_pairing_equivariance_through_w_action(rng):
     """The W action intertwines the momentum pairing: the anticommutator
     relation transported by rho(h) reproduces B(h.p)."""
-    from superkit.grassmann import anticommutator, build_ext_minus, build_int_plus
     h = _rand_sl2(rng)
     p = tuple(rng.uniform(-2, 2) for _ in range(4))
     hp = act_on_momentum(h, p)
@@ -186,8 +186,9 @@ def test_pairing_equivariance_through_w_action(rng):
     rho_inv = spin_action_endo(h.inverse())
     for a in (1, 2):
         for b in (1, 2):
-            op = rho @ anticommutator(build_int_plus(a, gamma_pair(p)),
-                                      build_ext_minus(b)) @ rho_inv
+            i_a = EndoW.from_action(lambda mv: int_plus(a, gamma_pair(p), mv))
+            e_b = EndoW.from_action(lambda mv: ext_minus(b, mv))
+            op = rho @ (i_a @ e_b + e_b @ i_a) @ rho_inv
             # conjugating a scalar multiple of Id leaves it fixed: B(p)
             assert abs(as_complex(op.mat[0][0]) - as_complex(gamma_pair(p)[a, b])) < 1e-8
 
@@ -207,6 +208,11 @@ def test_c1_involution_and_basis_images():
     assert c1(f2) == (QC(0), QC(0), QC(0, -1), QC(0))
     v = (QC(2, 1), QC(-1, 3), QC(0, 5), QC(7))
     assert c1(c1(v)) == v
+
+
+def boost_x(eta):
+    """diag(e^{eta/2}, e^{-eta/2}): pure boost along the x^1 axis."""
+    return SpinElement([[math.exp(eta / 2), 0], [0, math.exp(-eta / 2)]], check=False)
 
 
 def test_boost_x_matches_rest_boost():

@@ -14,6 +14,7 @@ import pytest
 
 from superkit import cli, conventions, grassmann, suites
 from superkit import superfourier as sft
+from superkit import symbols as sym
 from superkit.exactnum import QC
 from superkit.grassmann import PairingMatrix, build_d2, build_dbar2
 
@@ -56,6 +57,14 @@ def _odd_only_negate(u):
     return sft.SuperPoint([-c for c in u.y], u.xi, u.xibar)
 
 
+_divergence_symbol = sym.divergence_symbol
+
+
+def _divergence_symbol_minus_one_row(alpha, beta, p):
+    """The divergence symbol with its last output coefficient dropped."""
+    return _divergence_symbol(alpha, beta, p)[:-1]
+
+
 # check name -> (data from a seeded rng, (object, attribute, broken value))
 CASES = {
     # tau-bar^1 wedged onto tau^1 with the wrong Koszul sign
@@ -89,6 +98,8 @@ CASES = {
     "superspin0_elimination": (lambda rng: [(suites.rand_momentum(rng), Fraction(1))],
                                (conventions, "GAMMA_TABLE",
                                 _flip(conventions.GAMMA_TABLE, 0, 0, 1))),
+    "divergence_kernel": (lambda rng: [suites.rand_divergence_sample(rng) for _ in range(3)],
+                          (sym, "divergence_symbol", _divergence_symbol_minus_one_row)),
 }
 
 

@@ -4,35 +4,35 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import ONSHELL_EXACT, rand_momentum
+from conftest import ONSHELL_EXACT, act_on_momentum, multiplicity, rand_momentum
 
 from superkit import linalg, suites
 from superkit.exactnum import QC, as_complex, coerce
-from superkit.grassmann import Multivector, build_d2, mono_mask
-from superkit.spin_geometry import gamma_pair, minkowski_norm2
+from superkit.grassmann import EndoW, Multivector, PairingMatrix, build_d2, int_plus, mono_mask
+from superkit.spin_geometry import (gamma_pair, m2_dagger, m2_inv_unimodular,
+                                    minkowski_norm2)
 from superkit.suites import rand_onshell, rand_shell_sample
 from superkit.symbols import (DegenerateOrder, dirac_kernel_dim,
                               dirac_symbol, divergence_kernel_dim, divergence_symbol,
-                              gamma_matrix, multiplicity, propagate,
+                              gamma_matrix, propagate,
                               superspin0_constraints, sym_tensor_dim,
-                              zeta_d2, zeta_dbar2, zeta_i2, zeta_int)
+                              zeta_d2, zeta_dbar2, zeta_i2)
 
 B12 = mono_mask((), (1, 2))
 F2 = Fraction
 
 
 def test_zeta_int_at_rest_equals_rest_operator():
-    p = (1, 0, 0, 0)
-    from superkit.grassmann import PairingMatrix, build_int_plus
-    assert zeta_int(p, "plus", 1) == build_int_plus(1, PairingMatrix.identity())
+    B = gamma_pair((1, 0, 0, 0))
+    assert EndoW.from_action(lambda mv: int_plus(1, B, mv)) == \
+        EndoW.from_action(lambda mv: int_plus(1, PairingMatrix.identity(), mv))
 
 
 def test_zeta_int_table_entry():
     # at p = e^2 the (1,1) pairing vanishes
-    out = zeta_int((0, 0, 1, 0), "plus", 1)(Multivector.basis(mono_mask((), (1,))))
-    assert out.is_zero()
-    out2 = zeta_int((0, 0, 1, 0), "plus", 1)(Multivector.basis(mono_mask((), (2,))))
-    assert out2 == Multivector.scalar(1)
+    B = gamma_pair((0, 0, 1, 0))
+    assert int_plus(1, B, Multivector.basis(mono_mask((), (1,)))).is_zero()
+    assert int_plus(1, B, Multivector.basis(mono_mask((), (2,)))) == Multivector.scalar(1)
 
 
 def test_zeta_i2_top_gives_norm(rng):
@@ -84,7 +84,7 @@ def test_propagate_at_rest_is_identity_map():
 
 def test_zeta_equivariance_of_d2(rng):
     """zeta_{d^2}(h.p) = rho(h) zeta_{d^2}(p) rho(h)^-1 for random boosts."""
-    from superkit.spin_geometry import act_on_momentum, spin_action_endo
+    from superkit.spin_geometry import spin_action_endo
     from conftest import rand_sl2
     for _ in range(10):
         h = rand_sl2(rng)
@@ -209,11 +209,28 @@ def test_multiplicity_ladder():
     assert multiplicity(0, 2, F2(3, 2)) == 0
 
 
+def dirac_spin_matrix(h):
+    """Spin action on Dirac columns: block diag(A, (A^dagger)^-1).
+
+    Conjugation by it carries gamma(p) to gamma(h.p); together with
+    gamma(me^0)/m - Id it realizes the propagated Dirac selector
+    gamma(p)/m - Id.
+    """
+    a = h.a
+    v = m2_inv_unimodular(m2_dagger(a))
+    z = coerce(0)
+    return [
+        [a[0][0], a[0][1], z, z],
+        [a[1][0], a[1][1], z, z],
+        [z, z, v[0][0], v[0][1]],
+        [z, z, v[1][0], v[1][1]],
+    ]
+
+
 def test_dirac_symbol_propagation_route(rng):
     """gamma(p)/m - Id equals the boost-conjugated rest selector
     S(h_p) (gamma(m e^0)/m - Id) S(h_p)^-1 on Dirac space."""
     from superkit.spin_geometry import rest_boost
-    from superkit.symbols import dirac_spin_matrix
     for _ in range(10):
         m = rng.uniform(0.4, 3.0)
         p = rand_onshell(rng, m)
