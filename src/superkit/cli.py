@@ -276,11 +276,11 @@ def cmd_wz_check(args):
     return 0 if rp.ok() else 1
 
 
-def _lambda_n_equivalence(p, m, n=4):
-    """Over Lambda_n the WZ solutions at (p, m) are the Lambda_n span of the
+def _lambda_n_equivalence(p, m):
+    """Over Lambda_4 the WZ solutions at (p, m) are the Lambda_4 span of the
     scalar ones, taken with matching parities (the functor-of-points reading)."""
-    res = cmp.wz_equivalence_check(n, p, m)
-    return res["match"], 0.0, (f"Lambda_{n} module dim {res['module_dim_real']}, "
+    res = cmp.wz_equivalence_check(4, p, m)
+    return res["match"], 0.0, (f"Lambda_4 module dim {res['module_dim_real']}, "
                                f"expected {res['expected_dim_real']}")
 
 

@@ -6,8 +6,10 @@ its name: as an AST ``Name`` (a call, a decorator, a value passed on), as an
 inside the def's own body (recursion) do not count, and neither do uses in
 ``tests/`` or ``perfbench/``, words in string constants or in docs: a test
 oracle belongs in ``tests/``, and a claim of the paper that only a test calls
-needs a command that reports it.  Dunders are called by the language and are
-exempt.  There is no allowlist.
+needs a command that reports it.  The AST does not know the type behind
+``obj.name``, so one attribute reference counts for every method of that
+name.  Dunders are called by the language and are exempt.  There is no
+allowlist.
 """
 
 import ast
