@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import conventions
-from .exactnum import QC, as_complex, coerce, conj
+from .exactnum import QC, as_complex, coerce, conj, is_exact
 from .grassmann import MONOMIALS, minus_set, mono_mask, plus_set
 from .spin_geometry import (OffOrbit, gamma_lower, minkowski_norm2,
                             momentum_is_exact)
@@ -113,7 +113,7 @@ def _conjugate_with_signs(f, signs):
         i, j = plus_set(m), minus_set(m)
         sgn = signs[(len(i), len(j))]
         out[mono_mask(j, i)] = sgn * g.conjugate()
-    return SuperFunction._of(out, f.side)
+    return f._like(out)
 
 
 def wz_conjugate(f):
@@ -126,7 +126,7 @@ def wz_operator(f, m, check=True, tol=0.0):
     """The Wess-Zumino operator WZ_NORM*(-Dbar^2 (J f)) + WZ_MASS_SIGN*m*f."""
     if check and not is_chiral(f, tol):
         raise NotChiral("wz_operator expects a chiral superfunction")
-    core = QC(conventions.WZ_NORM) * ((-1) * apply_Dbar2(wz_conjugate(f)))
+    core = QC(conventions.WZ_NORM) * -apply_Dbar2(wz_conjugate(f))
     return core + (conventions.WZ_MASS_SIGN * coerce(m)) * f
 
 
@@ -410,12 +410,16 @@ def wz_equivalence_check(N, p=None, m=1):
       * the resulting dimension equals dim(bosonic)*#even-monomials +
         dim(fermionic)*#odd-monomials, i.e. the Lambda_N span of the scalar
         solution space taken with matching parities.
+
+    The kernels are exact, so a float momentum or mass raises TypeError.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     from . import linalg
     if p is None:
         p = (Fraction(2), Fraction(1), Fraction(1), Fraction(1))
+    if not all(is_exact(x) for x in (*p, m)):
+        raise TypeError("wz_equivalence_check needs an exact momentum and mass")
     Lm, Am = _wz_linear_antilinear(p, m)
     kernels = {t: linalg.null_space(_twisted_matrix(Lm, Am, t)) for t in (1, -1)}
     scalar_dim = len(kernels[1])

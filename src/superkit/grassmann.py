@@ -20,17 +20,23 @@ superfunctions share one path.  Each d/q action builds its generator sum
 once, when it is made -- the wedge plus the pairing-scaled contractions --
 so one application is one pass and one ``Multivector``.
 
-``Multivector(coeffs)`` coerces every entry of outside data.  Values the
-package builds itself (sums, scalar products, generator images) go through
-``Multivector._of``, which only drops zero entries: no stored coefficient is
-ever zero, so ``is_zero()`` at tolerance 0 is an emptiness test.
+``SparseSum`` is the package's one sparse linear combination ``{key: value}``;
+``Multivector`` here and the plane-wave sums, superfunctions and Lambda_N
+elements of ``superfourier`` subclass it.  Its constructor takes outside data:
+each key passes the class hook ``_key`` (None keeps it), each value ``_value``
+(``coerce``), and zero values are dropped.  Values the package computes (sums,
+scalar products, generator images) go through the trusted ``_of``, or
+``_like``, which also keeps a subclass's ``side`` or ``alg``; neither coerces,
+both drop zero values.  So no stored value is ever zero, and ``is_zero()`` at
+tolerance 0 is an emptiness test.  ``==`` compares values by their
+difference, so exact and float data that round equal compare equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exactnum import QC, coerce, scal_is_zero
+from .exactnum import QC, as_complex, coerce, scal_is_zero
 from . import linalg
 
 N_GEN = 4
@@ -137,72 +143,101 @@ def apply_generators(coeffs, terms):
     return out
 
 
-class Multivector:
-    """Element of W: sparse map monomial mask -> scalar."""
+class SparseSum:
+    """A finite linear combination: ``coeffs`` maps each key to a nonzero
+    value.  Values need +, unary -, scalar * and truth as "nonzero"."""
 
     __slots__ = ("coeffs",)
+    _key = None
+    _value = staticmethod(coerce)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
+        out = {}
         if coeffs:
-            for m, c in coeffs.items():
-                c = coerce(c)
-                if not scal_is_zero(c):
-                    self.coeffs[m] = c
+            key, value = self._key, self._value
+            for k, v in coeffs.items():
+                v = value(v)
+                if v:
+                    out[k if key is None else key(k)] = v
+        self.coeffs = out
 
     @classmethod
     def _of(cls, coeffs):
-        """A multivector of scalars the package computed: drops zeros, no coercion."""
-        mv = object.__new__(cls)
-        mv.coeffs = {m: c for m, c in coeffs.items() if c}
-        return mv
+        """A sum of values the package computed: drops zeros, no coercion."""
+        obj = object.__new__(cls)
+        obj.coeffs = {k: v for k, v in coeffs.items() if v}
+        return obj
 
-    @classmethod
-    def basis(cls, mask, scale=1):
-        return cls({mask: coerce(scale)})
+    def _like(self, coeffs, nonzero=False):
+        """``_of`` keeping this sum's own slots (``side``, ``alg``); with
+        ``nonzero`` the caller's fresh dict holds no zero and is kept as is."""
+        new = object.__new__(type(self))
+        for name in self.__slots__:     # on a bare SparseSum, coeffs: replaced below
+            setattr(new, name, getattr(self, name))
+        new.coeffs = coeffs if nonzero else {k: v for k, v in coeffs.items() if v}
+        return new
 
-    @classmethod
-    def scalar(cls, value):
-        return cls({0: coerce(value)})
-
-    def __getitem__(self, mask):
-        return self.coeffs.get(mask, _ZERO)
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-        return Multivector._of(out)
+        for k, v in other.coeffs.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = v
+            elif v := prev + v:     # only a sum of two stored values can be zero
+                out[k] = v
+            else:
+                del out[k]
+        return self._like(out, nonzero=True)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self + -other
 
     def __mul__(self, s):
-        s = coerce(s)
-        return Multivector._of({m: c * s for m, c in self.coeffs.items()})
+        if type(s) is not QC:   # coerced once: a sum of sums hands its values the QC
+            s = coerce(s)
+        return self._like({k: v * s for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Multivector._of({m: -c for m, c in self.coeffs.items()})
+        return self._like({k: -v for k, v in self.coeffs.items()}, nonzero=True)
 
     def __eq__(self, other):
-        if not isinstance(other, Multivector):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        if self.coeffs == other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if a == b:
             return True
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(scal_is_zero(self[k] - other[k]) for k in keys)
+        # no stored value is zero, so a key on one side only is a difference
+        return a.keys() == b.keys() and all(not (a[k] - b[k]) for k in a)
 
     def is_zero(self, tol=0.0):
         if not tol:
             return not self.coeffs
-        return all(scal_is_zero(c, tol) for c in self.coeffs.values())
+        return all(scal_is_zero(v, tol) for v in self.coeffs.values())
 
     def max_abs(self):
-        from .exactnum import as_complex
-        return max((abs(as_complex(c)) for c in self.coeffs.values()), default=0.0)
+        return max((abs(as_complex(v)) for v in self.coeffs.values()), default=0.0)
+
+
+class Multivector(SparseSum):
+    """Element of W: sparse map monomial mask -> scalar."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, mask, scale=1):
+        return cls({mask: scale})
+
+    @classmethod
+    def scalar(cls, value):
+        return cls({0: value})
+
+    def __getitem__(self, mask):
+        return self.coeffs.get(mask, _ZERO)
 
     def to_vector(self):
         return [self[m] for m in MONOMIALS]

@@ -6,23 +6,24 @@ finite plane-wave sums: the bosonic transform of ``a e^{i<q,x>}`` is the
 coefficient ``a`` at momentum ``q``, and the purely odd part of the super
 Fourier transform is the symplectic Hodge star.
 
-The public constructors coerce and check outside data.  Values the package
-builds itself go through ``PlaneWaveFn._of``, ``SuperFunction._of`` and
-``GrassElt._of``, which skip the coercion and only drop zero coefficients
-and empty components; so no stored coefficient is zero, and ``is_zero()`` at
-tolerance 0 is an emptiness test.
+``PlaneWaveFn`` (momentum -> coefficient), ``SuperFunction`` (theta monomial
+-> ``PlaneWaveFn``) and ``GrassElt`` (monomial of Lambda_N -> coefficient)
+are ``grassmann.SparseSum`` subclasses: the public constructors coerce and
+check outside data, values the package builds itself go through the trusted
+``_of``/``_like``, and no stored coefficient or component is zero.  Each
+class adds only what is its own.
 """
 
 from __future__ import annotations
 
 from . import conventions, grassmann
 from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
-from .grassmann import (MONOMIALS, Multivector, apply_generators, koszul_sign,
-                        mono_key, mono_mask, mask_from_key, minus_set, plus_set)
+from .grassmann import (MONOMIALS, Multivector, SparseSum, apply_generators, degree,
+                        koszul_sign, mono_key, mono_mask, mask_from_key, minus_set,
+                        parity, plus_set)
 from .spin_geometry import pair_covector
 
 
-_ZERO = QC(0)
 _I = QC(0, 1)
 
 
@@ -64,32 +65,19 @@ class MomentumKey(tuple):
         return self._neg
 
 
-class PlaneWaveFn:
+class PlaneWaveFn(SparseSum):
     """Finite sum of plane waves sum_q a_q e^{i<q,x>}.
 
     Terms are stored with the frequency sign absorbed into the momentum key,
     which is the canonical merge of (momentum, sign) pairs; every key is a
-    ``MomentumKey``, so plain-tuple lookups still work.  The same
-    container doubles as a finite delta-coefficient sum in momentum space.
+    ``MomentumKey`` (``_of`` callers pass one), so plain-tuple lookups still
+    work.  The same container doubles as a finite delta-coefficient sum in
+    momentum space.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for q, a in terms.items():
-                a = coerce(a)
-                if not scal_is_zero(a):
-                    self.terms[MomentumKey(q)] = a
-
-    @classmethod
-    def _of(cls, terms):
-        """A sum of coefficients the package computed: drops zeros, no coercion.
-        Every key must already be a MomentumKey."""
-        pw = object.__new__(cls)
-        pw.terms = {q: a for q, a in terms.items() if a}
-        return pw
+    __slots__ = ()
+    terms = SparseSum.coeffs
+    _key = MomentumKey
 
     @classmethod
     def wave(cls, amplitude, momentum, sign=1):
@@ -99,42 +87,6 @@ class PlaneWaveFn:
     @classmethod
     def zero(cls):
         return cls()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for q, a in other.terms.items():
-            prev = out.get(q)
-            out[q] = a if prev is None else prev + a
-        return PlaneWaveFn._of(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, s):
-        s = coerce(s)
-        return PlaneWaveFn._of({q: a * s for q, a in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PlaneWaveFn._of({q: -a for q, a in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneWaveFn):
-            return NotImplemented
-        if self.terms == other.terms:
-            return True
-        keys = set(self.terms) | set(other.terms)
-        return all(scal_is_zero(self.terms.get(k, _ZERO) - other.terms.get(k, _ZERO))
-                   for k in keys)
-
-    def is_zero(self, tol=0.0):
-        if not tol:
-            return not self.terms
-        return all(scal_is_zero(a, tol) for a in self.terms.values())
-
-    def max_abs(self):
-        return max((abs(as_complex(a)) for a in self.terms.values()), default=0.0)
 
     def derivative(self, mu):
         """d/dx^mu: multiplies each term by i q_mu."""
@@ -182,27 +134,21 @@ class PlaneWaveFn:
 
 # -- superfunctions -----------------------------------------------------------
 
-class SuperFunction:
+class SuperFunction(SparseSum):
     """16 plane-wave components indexed by Grassmann monomial masks."""
 
-    __slots__ = ("side", "comps")
+    __slots__ = ("side",)
+    comps = SparseSum.coeffs
 
     def __init__(self, comps=None, side="position"):
         self.side = side
-        self.comps = {}
-        if comps:
-            for m, g in comps.items():
-                if isinstance(g, PlaneWaveFn) and not g.is_zero():
-                    self.comps[m] = g
+        SparseSum.__init__(self, comps)
 
-    @classmethod
-    def _of(cls, comps, side):
-        """A superfunction of plane-wave sums the package computed: drops
-        empty components, no checks."""
-        f = object.__new__(cls)
-        f.side = side
-        f.comps = {m: g for m, g in comps.items() if g.terms}
-        return f
+    @staticmethod
+    def _value(g):
+        if not isinstance(g, PlaneWaveFn):
+            raise TypeError(f"a superfunction component is a PlaneWaveFn, not {g!r}")
+        return g
 
     def comp(self, mask):
         return self.comps.get(mask, PlaneWaveFn.zero())
@@ -210,34 +156,17 @@ class SuperFunction:
     def __add__(self, other):
         if self.side != other.side:
             raise SideMismatch("cannot add superfunctions on different sides")
-        out = dict(self.comps)
-        for m, g in other.comps.items():
-            prev = out.get(m)
-            out[m] = g if prev is None else prev + g
-        return SuperFunction._of(out, self.side)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, s):
-        s = coerce(s)
-        return SuperFunction._of({m: PlaneWaveFn._of({q: a * s for q, a in g.terms.items()})
-                                  for m, g in self.comps.items()}, self.side)
-
-    __rmul__ = __mul__
+        return SparseSum.__add__(self, other)
 
     def __eq__(self, other):
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        if self.side != other.side:
+        if isinstance(other, SuperFunction) and self.side != other.side:
             return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.comp(k) == other.comp(k) for k in keys)
+        return SparseSum.__eq__(self, other)
 
     def is_zero(self, tol=0.0):
-        if not tol:
-            return not self.comps
-        return all(g.is_zero(tol) for g in self.comps.values())
+        if tol:
+            return all(g.is_zero(tol) for g in self.comps.values())
+        return SparseSum.is_zero(self)
 
     def max_abs(self):
         return max((g.max_abs() for g in self.comps.values()), default=0.0)
@@ -317,7 +246,7 @@ def super_ft(f):
         g = fac * g
         prev = out.get(tgt)
         out[tgt] = g if prev is None else prev + g
-    return SuperFunction._of(out, "momentum")
+    return SuperFunction(out, "momentum")
 
 
 def inverse_super_ft(fhat):
@@ -328,7 +257,7 @@ def inverse_super_ft(fhat):
         g = g * (QC(1) / fac)
         prev = out.get(m)
         out[m] = g if prev is None else prev + g
-    return SuperFunction._of(out, "position")
+    return SuperFunction(out, "position")
 
 
 _STAR_INVERSE = {tgt: (m, fac) for m, (tgt, fac) in STAR_TABLE.items()}
@@ -350,14 +279,16 @@ def theta_derivative(a, f, barred=False):
     """Left derivative d/d theta^a (or d/d thetabar^a); on the momentum side,
     d/d tau^a (or d/d taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    return SuperFunction._of(apply_generators(f.comps, [(None, gen, True)]), f.side)
+    # one generator maps masks one to one, so no component cancels
+    return f._like(apply_generators(f.comps, [(None, gen, True)]), nonzero=True)
 
 
 def theta_multiply(a, f, barred=False):
     """Left multiplication by theta^a (or thetabar^a); on the momentum side,
     by tau^a (or taubar^a)."""
     gen = (a - 1) + (2 if barred else 0)
-    return SuperFunction._of(apply_generators(f.comps, [(None, gen, False)]), f.side)
+    # one generator maps masks one to one, so no component cancels
+    return f._like(apply_generators(f.comps, [(None, gen, False)]), nonzero=True)
 
 
 def apply_P(mu, f):
@@ -401,7 +332,8 @@ def _odd_operator(a, f, barred, sign):
                     c = -c
                 prev = tgt.get(q)
                 tgt[q] = c if prev is None else prev + c
-    return SuperFunction._of({m: PlaneWaveFn._of(t) for m, t in out.items()}, f.side)
+    return f._like({m: g for m, t in out.items() if (g := PlaneWaveFn._of(t)).terms},
+                   nonzero=True)
 
 
 def apply_Q(a, f):
@@ -456,8 +388,8 @@ def apply_zeta_momentum(zeta_fn, fhat):
     out = {}
     for q in fhat.all_momenta():
         for m, c in zeta_fn(q)(fhat.at_momentum(q)).coeffs.items():
-            out.setdefault(m, {})[q] = c
-    return SuperFunction._of({m: PlaneWaveFn._of(t) for m, t in out.items()}, "momentum")
+            out.setdefault(m, {})[q] = c     # a Multivector's coefficient: never zero
+    return fhat._like({m: PlaneWaveFn._of(t) for m, t in out.items()}, nonzero=True)
 
 
 def exchange_check(f):
@@ -507,64 +439,42 @@ class AuxGrassmann:
         return GrassElt(self, coeffs)
 
     def scalar(self, c):
-        return GrassElt(self, {0: coerce(c)})
+        return GrassElt(self, {0: c})
 
     def gen(self, i):
         if not 0 <= i < self.n:
             raise IndexError("generator index out of range")
-        return GrassElt._of(self, {1 << i: QC(1)})
+        return GrassElt(self, {1 << i: 1})
 
 
-class GrassElt:
-    """Element of an auxiliary Grassmann algebra Lambda_N."""
+class GrassElt(SparseSum):
+    """Element of an auxiliary Grassmann algebra Lambda_N: a scalar operand of
+    +, -, == is lifted into the algebra, and * by an element is the wedge
+    product."""
 
-    __slots__ = ("alg", "coeffs")
+    __slots__ = ("alg",)
 
     def __init__(self, alg, coeffs=None):
         self.alg = alg
-        self.coeffs = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = coerce(c)
-                if not scal_is_zero(c):
-                    self.coeffs[m] = c
+        SparseSum.__init__(self, coeffs)
 
-    @classmethod
-    def _of(cls, alg, coeffs):
-        """An element of scalars the package computed: drops zeros, no coercion."""
-        x = object.__new__(cls)
-        x.alg = alg
-        x.coeffs = {m: c for m, c in coeffs.items() if c}
-        return x
+    def _lift(self, other):
+        return other if isinstance(other, GrassElt) else self._like({0: coerce(other)})
 
     def __add__(self, other):
-        other = self._lift(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-        return GrassElt._of(self.alg, out)
+        return SparseSum.__add__(self, self._lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1) * self._lift(other)
+        return SparseSum.__sub__(self, self._lift(other))
 
     def __rsub__(self, other):
-        return self._lift(other) + (-1) * self
-
-    def __neg__(self):
-        return GrassElt._of(self.alg, {m: -c for m, c in self.coeffs.items()})
-
-    def _lift(self, other):
-        if isinstance(other, GrassElt):
-            return other
-        return GrassElt(self.alg, {0: coerce(other)})
+        return self._lift(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, GrassElt):
-            other = coerce(other)
-            return GrassElt._of(self.alg, {m: c * other for m, c in self.coeffs.items()})
+            return SparseSum.__mul__(self, other)
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
@@ -574,24 +484,14 @@ class GrassElt:
                 c = ca * cb if koszul_sign(ma, mb) > 0 else -(ca * cb)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
-        return GrassElt._of(self.alg, out)
-
-    def __rmul__(self, other):
-        other = coerce(other)
-        return GrassElt._of(self.alg, {m: other * c for m, c in self.coeffs.items()})
+        return self._like(out)
 
     def __eq__(self, other):
-        other = self._lift(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(scal_is_zero(self.coeffs.get(k, QC(0)) - other.coeffs.get(k, QC(0)))
-                   for k in keys)
-
-    def is_zero(self):
-        return not self.coeffs
+        return SparseSum.__eq__(self, self._lift(other))
 
     def parity(self):
         """0, 1, or None for mixed."""
-        ps = {bin(m).count("1") % 2 for m in self.coeffs}
+        ps = {parity(m) for m in self.coeffs}
         if not ps:
             return 0
         if len(ps) == 1:
@@ -602,9 +502,9 @@ class GrassElt:
         """Graded (reversing) conjugation with real generators."""
         out = {}
         for m, c in self.coeffs.items():
-            k = bin(m).count("1")
+            k = degree(m)
             out[m] = conj(c) * ((-1) ** (k * (k - 1) // 2))
-        return GrassElt._of(self.alg, out)
+        return self._like(out)
 
     def __repr__(self):
         return f"GrassElt({self.coeffs!r})"

@@ -406,6 +406,8 @@ def test_wz_equivalence_beyond_six_generators():
     assert rep["module_dim_real"] == rep["expected_dim_real"] == 8 * 2 ** 15
     with pytest.raises(ValueError):
         wz_equivalence_check(-1)
+    with pytest.raises(TypeError, match="needs an exact momentum"):
+        wz_equivalence_check(4, (1.25, 0.6, 0.0, 0.45), 1)
 
 
 def test_conjugate_sf_full_reality_structure(rng):

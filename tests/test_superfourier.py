@@ -12,7 +12,7 @@ from superkit.exactnum import QC
 from superkit.grassmann import (MONOMIALS, Multivector, PairingMatrix, d_action, dbar_action,
                                 mono_mask, q_action, qbar_action)
 from superkit.suites import STAR_DISPLAY, rand_even, rand_superpoint
-from superkit.superfourier import (AuxGrassmann, GradeMismatch, MomentumKey,
+from superkit.superfourier import (AuxGrassmann, GradeMismatch, GrassElt, MomentumKey,
                                    PlaneWaveFn,
                                    SideMismatch, SuperFunction, SuperPoint,
                                    apply_D, apply_D2, apply_Dbar, apply_Q, apply_Qbar,
@@ -342,6 +342,9 @@ _PW = st.dictionaries(st.sampled_from(_MOMENTA), _COEF, max_size=3).map(PlaneWav
 _SF = st.dictionaries(st.sampled_from(MONOMIALS), _PW, max_size=5).map(
     lambda comps: SuperFunction(comps, "position"))
 _MV = st.dictionaries(st.sampled_from(MONOMIALS), _COEF, max_size=6).map(Multivector)
+_ALG = AuxGrassmann(4)
+_GE = st.dictionaries(st.sampled_from(MONOMIALS), _COEF, max_size=6).map(
+    lambda coeffs: GrassElt(_ALG, coeffs))
 _SCALAR = st.sampled_from([0, 1, -1, QC(0), QC(1, 1), F2(-1, 2)])
 
 
@@ -367,11 +370,33 @@ def test_plane_wave_sums_never_store_zeros(g, h, s):
     assert (g - g).is_zero() and not (g - g).terms
 
 
-@given(_MV, _MV, _SCALAR, st.sampled_from([1, 2]))
-def test_multivectors_never_store_zeros(u, v, s, a):
+@given(_MV, _MV, _SCALAR, st.sampled_from([1, 2]), _GE)
+def test_multivectors_never_store_zeros(u, v, s, a, x):
     B = suites.rand_pairing(random.Random(a))
     results = [u + v, u - v, u - u, u * s, s * u, -u]
     results += [act(a, B)(u) for act in (d_action, dbar_action, q_action, qbar_action)]
     results += [act(a, PairingMatrix.identity())(u)
                 for act in (d_action, dbar_action, q_action, qbar_action)]
-    assert all(all(x.coeffs.values()) for x in results)
+    # Lambda_4 elements: +, - and == lift a scalar; * is by a scalar or the wedge
+    results += [x + s, s + x, x - x, x - s, s - x, x * s, s * x, -x, x * x, x * (x + s)]
+    assert all(all(y.coeffs.values()) for y in results)
+    assert (x - s) + s == x and x - x == 0
+
+
+def test_superfunction_rejects_a_component_that_is_not_a_plane_wave_sum():
+    with pytest.raises(TypeError):
+        SuperFunction({0: QC(1)})
+
+
+def test_sparse_sums_compare_by_difference():
+    """Exact and float data that round equal compare equal in all four sparse
+    sums; superfunctions on different sides do not; a GrassElt lifts a scalar."""
+    third, q = QC(F2(1, 3)), (F2(1), F2(0), F2(0), F2(0))
+    alg = AuxGrassmann(2)
+    assert Multivector({0: third}) == Multivector({0: 1 / 3})
+    assert Multivector({0: third}) != Multivector({0: 1 / 3 + 1e-9})
+    assert PlaneWaveFn({q: third}) == PlaneWaveFn({q: 1 / 3})
+    assert alg.element({1: third}) == alg.element({1: 1 / 3})
+    assert single_wave(3, third, q) == single_wave(3, 1 / 3, q)
+    assert single_wave(3, third, q) != single_wave(3, third, q, side="momentum")
+    assert alg.scalar(2) == 2 and alg.element({}) == 0 and alg.gen(0) != 0
