@@ -67,14 +67,13 @@ class Report:
                 "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.cid)],
                 "ledger": conventions.snapshot()}
 
-    def print_human(self, out=sys.stdout):
-        print(f"suite: {self.suite}" + (f"  (seed {self.seed})" if self.seed is not None else ""),
-              file=out)
+    def print_human(self):
+        print(f"suite: {self.suite}" + (f"  (seed {self.seed})" if self.seed is not None else ""))
         for c in sorted(self.checks, key=lambda c: c.cid):
             status = "PASS" if c.ok else "FAIL"
             print(f"  [{status}] {c.cid:42s} max_err={c.max_error:.3g} "
-                  f"({c.runtime_ms:.1f} ms) {c.detail}", file=out)
-        print(f"result: {'all passed' if self.ok() else 'FAILURES PRESENT'}", file=out)
+                  f"({c.runtime_ms:.1f} ms) {c.detail}")
+        print(f"result: {'all passed' if self.ok() else 'FAILURES PRESENT'}")
 
 
 # -- helpers --------------------------------------------------------------------
@@ -94,7 +93,7 @@ def _parse_momentum(text):
             comps.append(Fraction(x[0], x[1]))
         elif type(x) is int:
             comps.append(Fraction(x))
-        elif type(x) is float:
+        elif type(x) is float and math.isfinite(x):
             comps.append(x)
         else:
             raise argparse.ArgumentTypeError(f"bad momentum component {x!r}")
@@ -231,16 +230,22 @@ def cmd_kernel(args):
 
 
 def cmd_superft(args):
-    with open(args.input, encoding="utf-8") as fh:
-        f = sft.SuperFunction.from_json(json.load(fh))
-    fhat = sft.super_ft(f)
-    data = fhat.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-    else:
-        json.dump(data, sys.stdout, indent=2)
-        print()
+    """A bad input file or an unwritable output is a usage error: one line, exit 2."""
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise TypeError("the input must be a JSON object")
+        data = sft.super_ft(sft.SuperFunction.from_json(raw)).to_json()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, indent=2)
+            return 0
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"superkit superft: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    json.dump(data, sys.stdout, indent=2)
+    print()
     return 0
 
 

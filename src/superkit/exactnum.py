@@ -12,8 +12,8 @@ the read-only ``.re`` and ``.im`` return reduced ``Fraction``s.
 
 QC is closed under +, -, *, / (nonzero divisor).  Mixing a QC with a float or
 a python complex silently degrades to python ``complex``.  The float symbol
-route (boosts, ``spin_action_endo``, float ``zeta_*``, ``propagate``) no longer
-needs that: it runs in numpy on ``EndoW``'s array form.  Float momenta in the
+route (boosts, ``spin_action_endo``, float ``zeta_*``, ``propagate``) does not
+use QC: it works on plain ``complex128`` arrays.  Float momenta in the
 pairing table, float superfunctions and the float Dirac and divergence kernels
 still rely on it.  Equality with a float or complex is exact,
 and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold ``a`` and

@@ -30,11 +30,13 @@ scalar products, generator images) go through the trusted ``_of``, or
 both drop zero values.  So no stored value is ever zero, and ``is_zero()`` at
 tolerance 0 is an emptiness test.  ``==`` compares values by their
 difference, so exact and float data that round equal compare equal.
+
+``EndoW``, the dense 16x16 operator, holds ``QC`` entries only.  A float
+operator on W is a plain ``complex128`` array built where floats enter, so
+this module does not import numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .exactnum import QC, as_complex, coerce, scal_is_zero
 from . import linalg
@@ -349,27 +351,16 @@ def int_minus(a, B, mv):
 # -- endomorphisms ---------------------------------------------------------
 
 class EndoW:
-    """Dense 16x16 endomorphism of W in the monomial basis (columns = inputs).
-
-    Two forms share this class.  Exact entries (QC) keep ``mat`` a list of
-    rows and every operation exact.  Any float or complex entry selects the
-    array form: ``mat`` is a 16x16 ``complex128`` array, and ``@``, ``+``,
-    ``*`` and ``max_abs`` run in numpy; an exact operand of a mixed ``@`` or
-    ``+`` is converted to complex.  ``mat[r][c]`` indexes both forms, so
-    ``__call__``, ``==`` and ``parity`` serve both unchanged.
-    """
+    """Dense 16x16 endomorphism of W in the monomial basis (columns = inputs),
+    with exact entries: a float operator on W is a complex128 array instead."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        if isinstance(mat, np.ndarray) and mat.dtype == np.complex128:
-            self.mat = mat
-            return
         rows = [[coerce(x) for x in row] for row in mat]
-        if all(isinstance(x, QC) for row in rows for x in row):
-            self.mat = rows
-        else:
-            self.mat = np.array(rows, dtype=np.complex128)
+        if not all(type(x) is QC for row in rows for x in row):
+            raise TypeError("EndoW entries must be exact; a float operator is an array")
+        self.mat = rows
 
     @classmethod
     def from_action(cls, fn):
@@ -380,33 +371,19 @@ class EndoW:
     def identity(cls):
         return cls([[QC(1) if i == j else QC(0) for j in MONOMIALS] for i in MONOMIALS])
 
-    @classmethod
-    def zero(cls):
-        return cls([[QC(0)] * DIM for _ in MONOMIALS])
-
-    def _exact(self):
-        return isinstance(self.mat, list)
-
-    def _array(self):
-        return np.asarray(self.mat, dtype=np.complex128)
-
     def __call__(self, mv):
         out = {}
         for c, coef in mv.coeffs.items():
             for r in MONOMIALS:
                 x = self.mat[r][c]
-                if not scal_is_zero(x):
-                    out[r] = out.get(r, QC(0)) + x * coef
+                if x:
+                    out[r] = out.get(r, _ZERO) + x * coef
         return Multivector(out)
 
     def __matmul__(self, other):
-        if not (self._exact() and other._exact()):
-            return EndoW(self._array() @ other._array())
         return EndoW(linalg.mat_mul(self.mat, other.mat))
 
     def __add__(self, other):
-        if not (self._exact() and other._exact()):
-            return EndoW(self._array() + other._array())
         return EndoW([[a + b for a, b in zip(ra, rb)]
                       for ra, rb in zip(self.mat, other.mat)])
 
@@ -414,8 +391,6 @@ class EndoW:
         return self + (-1) * other
 
     def __mul__(self, s):
-        if not self._exact():
-            return EndoW(self.mat * complex(s))
         return EndoW([[x * s for x in row] for row in self.mat])
 
     __rmul__ = __mul__
@@ -423,22 +398,17 @@ class EndoW:
     def __eq__(self, other):
         if not isinstance(other, EndoW):
             return NotImplemented
-        return all(scal_is_zero(a - b)
-                   for ra, rb in zip(self.mat, other.mat)
-                   for a, b in zip(ra, rb))
+        return self.mat == other.mat
 
-    def is_zero(self, tol=0.0):
-        return all(scal_is_zero(x, tol) for row in self.mat for x in row)
-
-    def max_abs(self):
-        return float(np.abs(self._array()).max())
+    def is_zero(self):
+        return not any(x for row in self.mat for x in row)
 
     def parity(self):
         """'even', 'odd', or 'mixed' from the sparsity pattern."""
         has_even = has_odd = False
         for r in MONOMIALS:
             for c in MONOMIALS:
-                if scal_is_zero(self.mat[r][c]):
+                if not self.mat[r][c]:
                     continue
                 if parity(r) == parity(c):
                     has_even = True
@@ -623,9 +593,7 @@ def chiral_kernel(B):
     return [x_phi, x_psi1, x_psi2, x_f]
 
 
-def chiral_kernel_nullspace(B, tol=0.0):
-    """Null space of the stacked dbar operators by Gaussian elimination."""
-    d1 = build_dbar(1, B)
-    d2 = build_dbar(2, B)
-    stacked = [*d1.mat, *d2.mat]
-    return [Multivector.from_vector(v) for v in linalg.null_space(stacked, tol)]
+def chiral_kernel_nullspace(B):
+    """Null space of the stacked dbar operators by exact Gaussian elimination."""
+    stacked = [*build_dbar(1, B).mat, *build_dbar(2, B).mat]
+    return [Multivector.from_vector(v) for v in linalg.null_space(stacked)]

@@ -162,12 +162,14 @@ def spin_action_endo(h):
     so the action is kron(Lambda(minus), Lambda(plus)).  No Koszul signs
     arise: the plus generators precede the minus ones (ledger L1), and each
     factor maps into its own generators.  An exact h gives an exact EndoW, a
-    float h the complex128 array form.
+    float h a 16x16 complex128 array.
     """
-    dtype = object if all(is_exact(x) for row in h.a for x in row) else np.complex128
+    exact = all(is_exact(x) for row in h.a for x in row)
+    dtype = object if exact else np.complex128
     minus = np.array(_exterior_2x2(h.minus_matrix()), dtype=dtype)
     plus = np.array(_exterior_2x2(h.plus_matrix()), dtype=dtype)
-    return EndoW(np.kron(minus, plus))
+    rho = np.kron(minus, plus)
+    return EndoW(rho) if exact else rho
 
 
 def conj_zeta(z):

@@ -368,7 +368,7 @@ def propagation_route(samples, tol):
     for p, m in samples:
         rest = (m, 0.0, 0.0, 0.0)
         for zeta, prop in zip(zetas, sym.propagate([z(rest) for z in zetas], p, m, tol)):
-            worst = max(worst, (zeta(p) - prop).max_abs() / max(1.0, m * m))
+            worst = max(worst, float(abs(zeta(p) - prop).max()) / max(1.0, m * m))
     return worst <= tol, worst, f"closed form vs propagation, {len(samples)} momenta"
 
 

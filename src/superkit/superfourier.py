@@ -361,12 +361,14 @@ def apply_Dbar(a, f):
 
 
 def _eps_square(op, f, eps_upper):
+    """eps^{ab} op_a op_b; ledger L2 pins each entry of eps to 0 or +-1."""
     out = SuperFunction({}, f.side)
     for a in (1, 2):
         for b in (1, 2):
             e = eps_upper[a - 1][b - 1]
             if e:
-                out = out + e * op(a, op(b, f))
+                t = op(a, op(b, f))
+                out = out + t if e > 0 else out - t
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conventions, grassmann, linalg
 from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import EPS, EndoW, build_d2, build_dbar2, build_i2
+from .grassmann import EPS, build_d2, build_dbar2, build_i2
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -63,7 +63,7 @@ def _float_symbol(zeta, p):
     coeffs, _ = _symbol_coefficients(zeta, tuple(map(id, _builder_tables())))
     pf = np.array(p, dtype=float)
     mono = np.concatenate(([1.0], pf, [pf[mu] * pf[nu] for mu in range(4) for nu in range(mu, 4)]))
-    return EndoW(np.tensordot(mono, coeffs, 1))
+    return np.tensordot(mono, coeffs, 1)
 
 
 @functools.cache
@@ -97,8 +97,9 @@ def _symbol_coefficients(zeta, table_ids):
 def propagate(ops, p, m, tol=1e-9):
     """[zeta_u(p) = rho(h_p) u rho(h_p)^-1 for u in ops] along the forward orbit.
 
-    One boost h_p serves every operator.  It is float, so rho is in EndoW's
-    array form and the two products per operator run in numpy."""
+    ``ops`` are 16x16 complex128 arrays.  One boost h_p serves every
+    operator; it is float, so rho is an array too and the two products per
+    operator run in numpy."""
     h = rest_boost(p, m, tol)
     rho = spin_action_endo(h)
     rho_inv = spin_action_endo(h.inverse())

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superkit import components as cmp
@@ -14,6 +19,15 @@ from superkit.superfourier import SuperFunction, single_wave
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def rand_superfunction(rng, nterms=1, pool=4):
@@ -46,6 +60,18 @@ def rand_sl2(rng):
         if abs(d) > 0.1:
             s = d ** -0.5
             return SpinElement([[x * s for x in row] for row in m])
+
+
+def dense_matrix(act):
+    """The 16x16 complex128 matrix (columns = inputs) of an action on W, for
+    float actions, which EndoW does not hold."""
+    return np.array([[complex(x) for x in act(Multivector.basis(m)).to_vector()]
+                     for m in MONOMIALS]).T
+
+
+def apply_matrix(mat, mv):
+    """A 16x16 complex128 operator on W applied to a Multivector."""
+    return Multivector.from_vector(mat @ np.array([complex(x) for x in mv.to_vector()]))
 
 
 def act_on_momentum(h, p):

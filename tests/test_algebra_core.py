@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from conftest import chiral_kernel_display_form, rand_qc
+from conftest import chiral_kernel_display_form, rand_qc, run_python
 
 from superkit import linalg, suites
 from superkit.exactnum import QC, coerce, conj, scal_is_zero
@@ -213,10 +212,6 @@ def test_chiral_kernel_nullspace_dimension(rng):
     pairings = [ID] + [rand_pairing(rng) for _ in range(20)]
     ok, _, detail = suites.chiral_kernel(pairings)
     assert ok, detail
-    # a float pairing builds array-form dbar matrices, stacked as 32 rows
-    B = rand_pairing(rng)
-    Bf = PairingMatrix([[complex(B[a, b]) for b in (1, 2)] for a in (1, 2)])
-    assert len(chiral_kernel_nullspace(Bf, 1e-9)) == 4
 
 
 def test_chiral_kernel_f_vector():
@@ -288,42 +283,25 @@ def test_endow_json_shape(rng):
     assert all(len(entry) == 4 for row in mat for entry in row)
 
 
-# -- EndoW array form -------------------------------------------------------------------
+# -- EndoW is exact only ---------------------------------------------------------------
 
-def test_endow_array_form_mixes_with_the_exact_form(rng):
+def test_endow_rejects_float_entries(rng):
+    """A float operator on W is a complex128 array, never an EndoW: float
+    entries, and so the dbar matrices of a float pairing, raise TypeError."""
+    with pytest.raises(TypeError):
+        EndoW([[0.5] * DIM] * DIM)
     B = rand_pairing(rng)
-    exact = build_d(1, B)
-    assert isinstance(exact.mat, list)
-    ref = np.array([[complex(x) for x in row] for row in exact.mat])
-    # a float entry selects the array form; equal values compare equal across forms
-    dense = build_d(1, PairingMatrix([[complex(B[a, b]) for b in (1, 2)] for a in (1, 2)]))
-    assert isinstance(dense.mat, np.ndarray) and dense.mat.dtype == np.complex128
-    assert dense == exact and exact == dense
-    assert dense != exact + EndoW.identity()
-    other = build_dbar(2, B)
-    oref = np.array([[complex(x) for x in row] for row in other.mat])
-    for prod in (dense @ other, exact @ (1.0 * other), (0.5 * exact) @ other):
-        assert isinstance(prod.mat, np.ndarray)
-    assert np.array_equal((dense @ other).mat, ref @ oref)
-    assert np.array_equal((exact + 0.5 * other).mat, ref + 0.5 * oref)
-    assert (dense @ other).max_abs() == np.abs(ref @ oref).max()
-    # exact operands alone stay exact
-    assert isinstance((exact @ other).mat, list) and isinstance((2 * exact).mat, list)
-    assert dense.mat[3][1] == complex(exact.mat[3][1])
+    with pytest.raises(TypeError):
+        chiral_kernel_nullspace(PairingMatrix([[complex(B[a, b]) for b in (1, 2)]
+                                               for a in (1, 2)]))
 
 
-def test_endow_array_form_call_and_parity(rng):
-    B = rand_pairing(rng)
-    exact = build_d(2, B)
-    dense = exact * 1.0
-    mv = Multivector({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in MONOMIALS})
-    got, want = dense(mv), exact(mv)
-    assert all(type(c) is complex for c in got.coeffs.values())
-    assert max(abs(complex(got[m]) - complex(want[m])) for m in MONOMIALS) < 1e-12
-    assert dense(Multivector({})).is_zero()
-    assert dense.parity() == "odd"
-    assert (dense @ dense).parity() == "even"
-    assert (dense + EndoW.identity()).parity() == "mixed"
+def test_exact_core_imports_without_numpy():
+    """numpy is the float engine only: the exact scalar, exact elimination and
+    the Grassmann module import with numpy blocked."""
+    proc = run_python("-c", 'import sys; sys.modules["numpy"] = None; '
+                            "import superkit.exactnum, superkit.linalg, superkit.grassmann")
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- one-pass d/q actions against the two-pass ext +- int reference ------------

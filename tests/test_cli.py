@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
 
+from conftest import run_python
 from superkit.cli import main
 
 
@@ -121,6 +124,27 @@ def test_superft_files(tmp_path, capsys):
     assert data["components"]["1|12"][0][:2] == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("content", [
+    None, "not json", '{"components": {"|": [[1,0,"x",0,0,0,1]]}}'])
+def test_superft_bad_input_is_a_usage_error(tmp_path, capsys, content):
+    """A missing file, a non-JSON file and a bad row exit 2 with one line."""
+    fin = tmp_path / "f.json"
+    if content is not None:
+        fin.write_text(content)
+    assert main(["superft", "--input", str(fin)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()] and err.startswith("superkit superft: ")
+
+
+def test_human_report_follows_redirect_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["pipeline", "--mass", "1", "--momentum", "[1,0,0,0]"]) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "suite: pipeline  (seed 0)" and lines[-1] == "result: all passed"
+
+
 def test_pipeline_rest_momentum(capsys):
     code, out = run(capsys, "pipeline", "--mass", "1", "--momentum", "[1,0,0,0]",
                     "--json")
@@ -215,6 +239,10 @@ def test_momentum_pairs_must_be_integer_ratios(capsys):
     ["wz-check", "--mass", "1", "--momentum", "[2,1,1,1]", "--grid", "9,0"],
     ["pipeline", "--mass", "1", "--momentum", "[1,0,0,0]", "--grid", "9,nan"],
     ["orbit-classify", "--momentum", "[0,0,0,0]", "--tol", "-1"],
+    ["solve", "--momentum", "[1e400,0,0,0]"],
+    ["pipeline", "--mass", "1", "--momentum", "[NaN,0,0,0]"],
+    ["orbit-classify", "--momentum", "[Infinity,0,0,0]"],
+    ["wz-check", "--mass", "1", "--momentum", "[1,0,0,-Infinity]"],
 ])
 def test_bad_numeric_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -266,15 +294,6 @@ def test_parser_is_built_once_and_superkit_tol_read_per_call(monkeypatch):
 
 
 def test_python_m_superkit_runs_from_a_checkout():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-m", "superkit", "identities", "--suite", "symbols",
-                           "--seed", "0", "--json"], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = run_python("-m", "superkit", "identities", "--suite", "symbols", "--seed", "0", "--json")
     assert proc.returncode == 0, proc.stderr
     assert {c["status"] for c in json.loads(proc.stdout)["checks"]} == {"pass"}

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (ONSHELL_EXACT, act_on_momentum, rand_momentum, rand_qc, rand_sl2,
-                      wz_columns)
+from conftest import (ONSHELL_EXACT, act_on_momentum, apply_matrix, rand_momentum, rand_qc,
+                      rand_sl2, wz_columns)
 
 from superkit import conventions, linalg
 from superkit.components import (ChiralData, Grid4, GridTooSmall, NotChiral,
@@ -227,7 +227,7 @@ def test_solution_generator_boost_equivariance(rng):
         rho = spin_action_endo(h)
         out = {}
         for q in f.all_momenta():
-            mv = rho(f.at_momentum(q))
+            mv = apply_matrix(rho, f.at_momentum(q))
             hq = act_on_momentum(h, q)
             for mask, coeff in mv.coeffs.items():
                 out.setdefault(mask, {})[hq] = coeff
