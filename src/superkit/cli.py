@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import conventions, linalg
 from .exactnum import QC, as_complex
 from .grassmann import chiral_kernel, mono_key
-from .spin_geometry import OffOrbit, classify_orbit, gamma_pair, minkowski_norm2
+from .spin_geometry import (OffOrbit, classify_orbit, gamma_pair, minkowski_norm2,
+                            momentum_is_exact)
 from .suites import SUITES, rand_qc
 from . import symbols as sym
 from . import superfourier as sft
@@ -119,7 +120,7 @@ def cmd_pipeline(args):
     m = args.mass
     p = args.momentum
     rng = random.Random(args.seed)
-    exact = all(isinstance(x, Fraction) for x in p)
+    exact = momentum_is_exact(p)
     mass = m if exact else float(m)
     seed_a = rand_qc(rng) if exact else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     seed_u = (QC(1), rand_qc(rng)) if exact else (1.0, complex(rng.uniform(-1, 1)))
@@ -206,7 +207,7 @@ def cmd_kernel(args):
     p, m = args.momentum, args.mass
     if args.symbol == "dirac":
         mat = sym.dirac_symbol(p, m)
-        tol = 0.0 if all(isinstance(x, Fraction) for x in p) else args.float_tol
+        tol = 0.0 if momentum_is_exact(p) else args.float_tol
         basis = linalg.null_space(mat, tol)
         out = {"symbol": "dirac", "kernel_dim": len(basis),
                "basis": [[str(as_complex(x)) for x in v] for v in basis],
@@ -218,10 +219,12 @@ def cmd_kernel(args):
                          for b in basis]}
     elif args.symbol == "superspin0":
         basis = chiral_kernel(gamma_pair(p))
+        cons = sym.superspin0_constraints(p, m)
         out = {"symbol": "superspin0", "kernel_dim": len(basis),
                "basis": [{mono_key(k): str(as_complex(v)) for k, v in b.coeffs.items()}
                          for b in basis],
-               "constraints": sym.superspin0_constraints(p, m).as_dict()}
+               "constraints": {**cons.as_dict(),
+                               "solution_dims_paired": cons.solution_dims_paired(args.float_tol)}}
     else:
         print(f"unknown symbol {args.symbol!r}", file=sys.stderr)
         return 2
@@ -235,13 +238,13 @@ def cmd_superft(args):
         with open(args.input, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
-            raise TypeError("the input must be a JSON object")
+            raise ValueError("the input must be a JSON object")
         data = sft.super_ft(sft.SuperFunction.from_json(raw)).to_json()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, indent=2)
             return 0
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"superkit superft: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     json.dump(data, sys.stdout, indent=2)
@@ -267,7 +270,7 @@ def cmd_wz_check(args):
         print(f"off orbit: {exc}", file=sys.stderr)
         return 2
     f = cmp.chiral_expand(sol)
-    exact = all(isinstance(x, Fraction) for x in args.momentum)
+    exact = momentum_is_exact(args.momentum)
     tol = 0.0 if exact else args.float_tol
     # wz_operator tests chirality, once; the residuals do not test it again
     rp.run("wz_vanishes", lambda: _wz_vanishes(f, args.mass, tol, check=True))

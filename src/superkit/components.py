@@ -93,10 +93,10 @@ def chiral_expand(c):
     return SuperFunction(comps, "position")
 
 
-def extract_chiral(f, tol=0.0, check=True):
+def extract_chiral(f, check=True):
     """Inverse of chiral_expand; raises NotChiral when f is not chiral."""
     f.require_side("position")
-    if check and not is_chiral(f, tol):
+    if check and not is_chiral(f):
         raise NotChiral("Dbar does not annihilate f")
     return ChiralData(f.comp(0),
                       (f.comp(mono_mask((1,), ())), f.comp(mono_mask((2,), ()))),
@@ -177,10 +177,10 @@ def f_residual(c, m):
     return c.F - (2 * s * coerce(m)) * c.phi.conjugate()
 
 
-def component_reduce(f, m, tol=0.0, check=True):
+def component_reduce(f, m, check=True):
     """Residuals of the component system for a chiral superfunction; with
     check False the caller has tested its chirality (see extract_chiral)."""
-    c = extract_chiral(f, tol, check)
+    c = extract_chiral(f, check)
     return {
         "kg_residual": kg_residual(c, m),
         "dirac_residual": dirac_residual(c, m),

@@ -19,7 +19,10 @@ L2  eps_lower = eps_upper = [[0, 1], [-1, 0]] in the index pair (a, b), for
     both undotted and dotted (minus-chirality) indices.  In particular
     eps^{12} = +1, i.e. NOT the inverse convention eps^{ab}eps_{bc} =
     delta^a_c.  Pinned by the theta exchange identities of the super
-    Fourier transform and the D^2 intertwining identity.
+    Fourier transform and the D^2 intertwining identity.  No module keeps a
+    copy: grassmann.eps_square contracts with the table read here on each
+    call (eps_lower for d^2 on W, eps_upper for D^2 on superspace), and each
+    entry must be 0 or +-1.
 L3  The momentum pairing table is
         B(p) = [[p0+p1, p2-i*p3], [p2+i*p3, p0-p1]],
     whose determinant is the Minkowski norm in signature (+,-,-,-).

@@ -31,6 +31,10 @@ both drop zero values.  So no stored value is ever zero, and ``is_zero()`` at
 tolerance 0 is an emptiness test.  ``==`` compares values by their
 difference, so exact and float data that round equal compare equal.
 
+``eps_square`` is the one epsilon-square ``eps[a][b] op_a op_b``: the
+second-order operators on W contract with ``conventions.EPS_LOWER`` and
+``superfourier``'s D^2 with ``EPS_UPPER``, each read on every call.
+
 ``EndoW``, the dense 16x16 operator, holds ``QC`` entries only.  A float
 operator on W is a plain ``complex128`` array built where floats enter, so
 this module does not import numpy.
@@ -38,13 +42,16 @@ this module does not import numpy.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .exactnum import QC, as_complex, coerce, scal_is_zero
-from . import linalg
+from . import conventions, linalg
 
 N_GEN = 4
 DIM = 16
 MONOMIALS = tuple(range(DIM))
 _ZERO = QC(0)
+_MINUS_HALF = QC(Fraction(-1, 2))
 
 
 def plus_set(mask):
@@ -84,9 +91,16 @@ def mono_key(mask):
         "".join(str(a) for a in minus_set(mask))
 
 
+_KEY_MASKS = {mono_key(m): m for m in MONOMIALS}
+
+
 def mask_from_key(key):
-    i, j = key.split("|")
-    return mono_mask(tuple(int(c) for c in i), tuple(int(c) for c in j))
+    """Inverse of mono_key; any other key raises ValueError."""
+    mask = _KEY_MASKS.get(key)
+    if mask is None:
+        raise ValueError(f"bad monomial key {key!r}: expected '<I>|<J>' with I, J "
+                         "each one of '', '1', '2', '12'")
+    return mask
 
 
 def koszul_sign(ma, mb):
@@ -234,10 +248,6 @@ class Multivector(SparseSum):
     def basis(cls, mask, scale=1):
         return cls({mask: scale})
 
-    @classmethod
-    def scalar(cls, value):
-        return cls({0: value})
-
     def __getitem__(self, mask):
         return self.coeffs.get(mask, _ZERO)
 
@@ -288,22 +298,6 @@ class PairingMatrix:
 
     def __repr__(self):
         return f"PairingMatrix({self.b!r})"
-
-
-class SymplecticForm:
-    """eps_lower and its doubled-index partner eps_upper (ledger L2)."""
-
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower=None, upper=None):
-        from . import conventions
-        self.lower = tuple(tuple(coerce(x) for x in r)
-                           for r in (lower or conventions.EPS_LOWER))
-        self.upper = tuple(tuple(coerce(x) for x in r)
-                           for r in (upper or conventions.EPS_UPPER))
-
-
-EPS = SymplecticForm()
 
 
 # -- primitive operations -------------------------------------------------
@@ -452,48 +446,52 @@ def qbar_action(a, B):
     return _one_pass(a + 1, _int_minus_terms(a, B, -1))
 
 
-def _eps_compose(acts, eps):
-    def act(mv):
-        out = Multivector({})
-        for a in (1, 2):
-            for b in (1, 2):
-                e = eps.lower[a - 1][b - 1]
-                if not scal_is_zero(e):
-                    out = out + e * acts[a - 1](acts[b - 1](mv))
-        return out
-    return act
+def eps_square(op, x, eps):
+    """sum_{a,b} eps[a][b] op(a, op(b, x)) for a Multivector or a superfunction
+    x; ledger L2 pins each entry of eps to 0 or +-1, so each term is added or
+    subtracted."""
+    out = x._like({}, nonzero=True)
+    for a in (1, 2):
+        for b in (1, 2):
+            e = eps[a - 1][b - 1]
+            if e:
+                t = op(a, op(b, x))
+                out = out + t if e > 0 else out - t
+    return out
 
 
-def d2_action(B, eps=EPS):
-    return _eps_compose([d_action(1, B), d_action(2, B)], eps)
+def _eps_compose(op):
+    """The action eps_{ab} op(a, op(b, .)), reading eps_lower from the ledger
+    on each call."""
+    return lambda mv: eps_square(op, mv, conventions.EPS_LOWER)
 
 
-def dbar2_action(B, eps=EPS):
-    return _eps_compose([dbar_action(1, B), dbar_action(2, B)], eps)
+def d2_action(B):
+    acts = (d_action(1, B), d_action(2, B))
+    return _eps_compose(lambda a, mv: acts[a - 1](mv))
 
 
-def e2_action(eps=EPS):
-    return _eps_compose([lambda mv: ext_plus(1, mv), lambda mv: ext_plus(2, mv)], eps)
+def dbar2_action(B):
+    acts = (dbar_action(1, B), dbar_action(2, B))
+    return _eps_compose(lambda a, mv: acts[a - 1](mv))
 
 
-def i2_action(B, eps=EPS):
-    from fractions import Fraction
-    inner = _eps_compose([lambda mv: int_plus(1, B, mv),
-                          lambda mv: int_plus(2, B, mv)], eps)
-    half = QC(Fraction(-1, 2))
-    return lambda mv: half * inner(mv)
+def e2_action():
+    return _eps_compose(ext_plus)
 
 
-def e2bar_action(eps=EPS):
-    return _eps_compose([lambda mv: ext_minus(1, mv), lambda mv: ext_minus(2, mv)], eps)
+def i2_action(B):
+    inner = _eps_compose(lambda a, mv: int_plus(a, B, mv))
+    return lambda mv: _MINUS_HALF * inner(mv)
 
 
-def i2bar_action(B, eps=EPS):
-    from fractions import Fraction
-    inner = _eps_compose([lambda mv: int_minus(1, B, mv),
-                          lambda mv: int_minus(2, B, mv)], eps)
-    half = QC(Fraction(-1, 2))
-    return lambda mv: half * inner(mv)
+def e2bar_action():
+    return _eps_compose(ext_minus)
+
+
+def i2bar_action(B):
+    inner = _eps_compose(lambda a, mv: int_minus(a, B, mv))
+    return lambda mv: _MINUS_HALF * inner(mv)
 
 
 def build_d(a, B):
@@ -510,45 +508,45 @@ def build_qbar(a, B):
     return EndoW.from_action(qbar_action(a, B))
 
 
-def build_d2(B, eps=EPS):
+def build_d2(B):
     """Composed second-order operator eps_{ab} d_a d_b (ledger L7)."""
-    return EndoW.from_action(d2_action(B, eps))
+    return EndoW.from_action(d2_action(B))
 
 
-def build_dbar2(B, eps=EPS):
-    return EndoW.from_action(dbar2_action(B, eps))
+def build_dbar2(B):
+    return EndoW.from_action(dbar2_action(B))
 
 
-def build_e2(eps=EPS):
+def build_e2():
     """e^2 = eps_{ab} e_a e_b, which maps scalars to eps_{ab} tau^a ^ tau^b."""
-    return EndoW.from_action(e2_action(eps))
+    return EndoW.from_action(e2_action())
 
 
-def build_i2(B, eps=EPS):
+def build_i2(B):
     """i^2 = -(1/2) eps_{ab} i_a i_b; sends taubar^1^taubar^2 to det-like pairings."""
-    return EndoW.from_action(i2_action(B, eps))
+    return EndoW.from_action(i2_action(B))
 
 
-def build_e2bar(eps=EPS):
-    return EndoW.from_action(e2bar_action(eps))
+def build_e2bar():
+    return EndoW.from_action(e2bar_action())
 
 
-def build_i2bar(B, eps=EPS):
-    return EndoW.from_action(i2bar_action(B, eps))
+def build_i2bar(B):
+    return EndoW.from_action(i2bar_action(B))
 
 
-def build_d2_factorized(B, eps=EPS):
+def build_d2_factorized(B):
     """The commonly quoted factorized form (e^2 (x) Id) + (Id (x) i^2).
 
     NOT equal to build_d2 on all of W (the composed operator carries
     e_a (x) i_b cross terms the factorized form lacks); kept for the
     route-comparison suite.  See ledger L7.
     """
-    return build_e2(eps) + build_i2(B, eps)
+    return build_e2() + build_i2(B)
 
 
-def build_dbar2_factorized(B, eps=EPS):
-    return build_e2bar(eps) + build_i2bar(B, eps)
+def build_dbar2_factorized(B):
+    return build_e2bar() + build_i2bar(B)
 
 
 # -- chiral kernel and conjugation ----------------------------------------

@@ -98,11 +98,7 @@ def mat_mul(a, b):
     return out
 
 
-def same_span(basis_a, basis_b, tol=0.0):
-    """True iff the two lists of vectors span the same subspace."""
-    if not basis_a and not basis_b:
-        return True
-    ra = rank(list(basis_a), tol) if basis_a else 0
-    rb = rank(list(basis_b), tol) if basis_b else 0
-    rboth = rank(list(basis_a) + list(basis_b), tol)
-    return ra == rb == rboth
+def same_span(basis_a, basis_b):
+    """True iff the two lists of vectors span the same subspace, by exact
+    rank: any nonzero entry counts."""
+    return rank(basis_a) == rank(basis_b) == rank([*basis_a, *basis_b])

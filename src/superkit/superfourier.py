@@ -16,11 +16,13 @@ class adds only what is its own.
 
 from __future__ import annotations
 
+import math
+
 from . import conventions, grassmann
 from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
 from .grassmann import (MONOMIALS, Multivector, SparseSum, apply_generators, degree,
-                        koszul_sign, mono_key, mono_mask, mask_from_key, minus_set,
-                        parity, plus_set)
+                        eps_square, koszul_sign, mono_key, mono_mask, mask_from_key,
+                        minus_set, parity, plus_set)
 from .spin_geometry import pair_covector
 
 
@@ -63,6 +65,14 @@ class MomentumKey(tuple):
             neg = MomentumKey(-x for x in self)
             neg._neg, self._neg = self, neg
         return self._neg
+
+
+def _finite_number(x):
+    """True for an int or float, not a bool, that is a finite float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 class PlaneWaveFn(SparseSum):
@@ -118,11 +128,20 @@ class PlaneWaveFn(SparseSum):
 
     @classmethod
     def from_json(cls, rows):
-        """Rows [re, im, p0, p1, p2, p3, sign]; rows at one momentum sum."""
+        """Rows [re, im, p0, p1, p2, p3, sign] of ints or finite floats (not
+        booleans), sign +-1; rows at one momentum sum.  A bad row raises
+        ValueError naming its index."""
+        if not isinstance(rows, list):
+            raise ValueError(f"expected a list of rows, got {rows!r}")
         terms = {}
-        for re, im, p0, p1, p2, p3, sign in rows:
+        for n, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 7
+                    and all(map(_finite_number, row)) and row[6] in (1, -1)):
+                raise ValueError(f"row {n}: expected [re, im, p0, p1, p2, p3, sign] "
+                                 f"of finite numbers with sign +-1, got {row!r}")
+            re, im, p0, p1, p2, p3, sign = row
             q = MomentumKey((p0, p1, p2, p3))
-            if int(sign) < 0:
+            if sign < 0:
                 q = -q
             a, prev = complex(re, im), terms.get(q)
             terms[q] = a if prev is None else prev + a
@@ -193,8 +212,16 @@ class SuperFunction(SparseSum):
 
     @classmethod
     def from_json(cls, data):
-        comps = {mask_from_key(k): PlaneWaveFn.from_json(v)
-                 for k, v in data.get("components", {}).items()}
+        raw = data.get("components", {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"components must be an object, got {raw!r}")
+        comps = {}
+        for k, v in raw.items():
+            mask = mask_from_key(k)
+            try:
+                comps[mask] = PlaneWaveFn.from_json(v)
+            except ValueError as exc:
+                raise ValueError(f"component {k!r}: {exc}") from None
         return cls(comps, data.get("side", "position"))
 
 
@@ -360,26 +387,14 @@ def apply_Dbar(a, f):
     return _odd_operator(a, f, barred=True, sign=-1)
 
 
-def _eps_square(op, f, eps_upper):
-    """eps^{ab} op_a op_b; ledger L2 pins each entry of eps to 0 or +-1."""
-    out = SuperFunction({}, f.side)
-    for a in (1, 2):
-        for b in (1, 2):
-            e = eps_upper[a - 1][b - 1]
-            if e:
-                t = op(a, op(b, f))
-                out = out + t if e > 0 else out - t
-    return out
-
-
 def apply_D2(f):
     """D^2 = eps^{ab} D_a D_b."""
-    return _eps_square(apply_D, f, conventions.EPS_UPPER)
+    return eps_square(apply_D, f, conventions.EPS_UPPER)
 
 
 def apply_Dbar2(f):
     """Dbar^2 = eps^{ab} Dbar_a Dbar_b (dotted epsilon = undotted, ledger L2)."""
-    return _eps_square(apply_Dbar, f, conventions.EPS_UPPER)
+    return eps_square(apply_Dbar, f, conventions.EPS_UPPER)
 
 
 # -- tau-side operators on momentum superfunctions ------------------------------

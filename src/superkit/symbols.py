@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import conventions, grassmann, linalg
-from .exactnum import as_complex, coerce, conj, is_exact, scal_is_zero
-from .grassmann import EPS, build_d2, build_dbar2, build_i2
+from .exactnum import coerce, conj, is_exact, scal_is_zero
+from .grassmann import build_d2, build_dbar2, build_i2
 from .spin_geometry import (gamma_pair, minkowski_norm2, momentum_is_exact,
                             rest_boost, spin_action_endo)
 
@@ -30,19 +30,19 @@ class DegenerateOrder(ValueError):
 def zeta_d2(p):
     if not momentum_is_exact(p):
         return _float_symbol(zeta_d2, p)
-    return build_d2(gamma_pair(p), EPS)
+    return build_d2(gamma_pair(p))
 
 
 def zeta_dbar2(p):
     if not momentum_is_exact(p):
         return _float_symbol(zeta_dbar2, p)
-    return build_dbar2(gamma_pair(p), EPS)
+    return build_dbar2(gamma_pair(p))
 
 
 def zeta_i2(p):
     if not momentum_is_exact(p):
         return _float_symbol(zeta_i2, p)
-    return build_i2(gamma_pair(p), EPS)
+    return build_i2(gamma_pair(p))
 
 
 # At a float momentum each of zeta_d2, zeta_dbar2, zeta_i2 is evaluated as a
@@ -56,7 +56,7 @@ _UNITS = tuple(tuple(int(mu == nu) for nu in range(4)) for mu in range(4))
 
 def _builder_tables():
     """The convention tables the exact builders read."""
-    return grassmann.GEN_TABLE, conventions.GAMMA_TABLE
+    return grassmann.GEN_TABLE, conventions.GAMMA_TABLE, conventions.EPS_LOWER
 
 
 def _float_symbol(zeta, p):
@@ -185,11 +185,12 @@ def divergence_symbol(alpha, beta, p):
     return mat
 
 
-def divergence_kernel_dim(alpha, beta, p, tol=None):
-    if tol is None:
-        tol = 0.0 if momentum_is_exact(p) else 1e-9
+def divergence_kernel_dim(alpha, beta, p):
+    """Exact kernel dimension; a float momentum raises TypeError."""
+    if not momentum_is_exact(p):
+        raise TypeError("divergence_kernel_dim needs an exact momentum")
     mat = divergence_symbol(alpha, beta, p)
-    return sym_tensor_dim(int(2 * alpha), int(2 * beta)) - linalg.rank(mat, tol)
+    return sym_tensor_dim(int(2 * alpha), int(2 * beta)) - linalg.rank(mat)
 
 
 # -- superspin-0 constraint system --------------------------------------------
@@ -240,13 +241,11 @@ class Superspin0Report:
         """At p = m e^0 the system reduces to (conj(psi1), conj(psi2)) = M psi / m."""
         return [[x / self.m for x in row] for row in self.fermionic_matrix]
 
-    def solution_dims_paired(self, tol=1e-9):
+    def solution_dims_paired(self, tol):
         """Complex dimensions (bosonic, fermionic) of the two-frequency
         on-shell solution space: one free phi pair and one free psi pair.
-        A float bosonic factor counts as zero below ``tol``."""
-        on_shell = scal_is_zero(self.bosonic_factor) if is_exact(self.bosonic_factor) \
-            else abs(as_complex(self.bosonic_factor)) < tol
-        return (2, 2) if on_shell else (0, 0)
+        A float bosonic factor counts as zero up to and including ``tol``."""
+        return (2, 2) if scal_is_zero(self.bosonic_factor, tol) else (0, 0)
 
     def as_dict(self):
         return {
@@ -258,7 +257,6 @@ class Superspin0Report:
             "bosonic_factor": str(self.bosonic_factor),
             "fermionic_factor_pointwise": str(self.fermionic_factor_pointwise),
             "fermionic_factor_paired": str(self.fermionic_factor_paired),
-            "solution_dims_paired": self.solution_dims_paired(),
         }
 
 

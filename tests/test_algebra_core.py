@@ -90,14 +90,14 @@ TOP = mono_mask((1, 2), (1, 2))
 
 
 def test_ext_plus_examples():
-    one = Multivector.scalar(1)
+    one = Multivector.basis(0, 1)
     assert ext_plus(1, one) == Multivector.basis(T1)
     assert ext_plus(1, Multivector.basis(T1)).is_zero()
     assert ext_plus(2, Multivector.basis(T1)) == Multivector.basis(T12, -1)
 
 
 def test_ext_minus_examples():
-    one = Multivector.scalar(1)
+    one = Multivector.basis(0, 1)
     assert ext_minus(1, one) == Multivector.basis(B1)
     assert ext_minus(2, Multivector.basis(B1)) == Multivector.basis(B12, -1)
     # crossing the odd plus factor picks up the ledger sign
@@ -106,13 +106,13 @@ def test_ext_minus_examples():
 
 
 def test_int_plus_examples():
-    assert int_plus(1, ID, Multivector.basis(B1)) == Multivector.scalar(1)
+    assert int_plus(1, ID, Multivector.basis(B1)) == Multivector.basis(0, 1)
     assert int_plus(1, ID, Multivector.basis(B12)) == Multivector.basis(B2)
-    assert int_plus(1, ID, Multivector.scalar(1)).is_zero()
+    assert int_plus(1, ID, Multivector.basis(0, 1)).is_zero()
 
 
 def test_int_minus_examples():
-    assert int_minus(1, ID, Multivector.basis(T1)) == Multivector.scalar(1)
+    assert int_minus(1, ID, Multivector.basis(T1)) == Multivector.basis(0, 1)
     # second-degree branch: pairing(r, s)r' - pairing(r', s)r evaluates to -t1
     assert int_minus(2, ID, Multivector.basis(T12)) == Multivector.basis(T1, -1)
     assert int_minus(1, ID, Multivector.basis(B1)).is_zero()
@@ -121,24 +121,24 @@ def test_int_minus_examples():
 def test_interior_is_general_pairing(rng):
     for _ in range(5):
         B = rand_pairing(rng)
-        assert int_plus(1, B, Multivector.basis(B1)) == Multivector.scalar(B[1, 1])
+        assert int_plus(1, B, Multivector.basis(B1)) == Multivector.basis(0, B[1, 1])
         assert int_plus(2, B, Multivector.basis(B12)) == \
             Multivector.basis(B2, B[2, 1]) + Multivector.basis(B1, -B[2, 2])
-        assert int_minus(1, B, Multivector.basis(T2)) == Multivector.scalar(B[2, 1])
+        assert int_minus(1, B, Multivector.basis(T2)) == Multivector.basis(0, B[2, 1])
 
 
 # -- d / q family ---------------------------------------------------------------
 
 def test_build_d_on_vacuum():
-    assert build_d(1, ID)(Multivector.scalar(1)) == Multivector.basis(T1)
-    assert q_action(1, ID)(Multivector.scalar(1)) == Multivector.basis(T1)
+    assert build_d(1, ID)(Multivector.basis(0, 1)) == Multivector.basis(T1)
+    assert q_action(1, ID)(Multivector.basis(0, 1)) == Multivector.basis(T1)
 
 
 def test_build_dbar_two_summands():
     out = build_dbar(1, ID)(Multivector.basis(T1))
     assert out == ext_minus(1, Multivector.basis(T1)) + \
         int_minus(1, ID, Multivector.basis(T1))
-    assert out == Multivector.basis(mono_mask((1,), (1,)), -1) + Multivector.scalar(1)
+    assert out == Multivector.basis(mono_mask((1,), (1,)), -1) + Multivector.basis(0, 1)
 
 
 def test_anticommutators_rest_and_random(rng):
@@ -173,19 +173,19 @@ def test_i2_and_e2_closed_forms(rng):
     for B in (ID, rand_pairing(rng), rand_pairing(rng)):
         i2 = build_i2(B)
         out = i2(Multivector.basis(B12))
-        assert out == Multivector.scalar(B.det())
+        assert out == Multivector.basis(0, B.det())
         for low in (0, T1, B1, mono_mask((1,), (1,))):
             if degree(low) < 2 or plus_set(low):
                 assert i2(Multivector.basis(low)).coeffs.get(0, QC(0)) == \
                     (B.det() if low == B12 else QC(0))
     e2 = build_e2()
     # e2(lambda) = lambda * eps_ab tau^a ^ tau^b = 2 lambda tau1^tau2
-    assert e2(Multivector.scalar(3)) == Multivector.basis(T12, 6)
+    assert e2(Multivector.basis(0, 3)) == Multivector.basis(T12, 6)
 
 
 def test_d2_composition_value():
     d2 = build_d2(ID)
-    assert d2(Multivector.scalar(1)) == Multivector.basis(T12, 2)
+    assert d2(Multivector.basis(0, 1)) == Multivector.basis(T12, 2)
     # eps_ab d_a d_b = 2 d_1 d_2 when the d's anticommute
     d1, dd2 = build_d(1, ID), build_d(2, ID)
     assert build_d2(ID) == 2 * (d1 @ dd2)
@@ -200,7 +200,7 @@ def test_d2_factorized_form_differs(rng):
     assert comp != fact
     diff = comp - fact
     # on the vacuum both routes agree
-    assert diff(Multivector.scalar(1)).is_zero()
+    assert diff(Multivector.basis(0, 1)).is_zero()
     # cross terms surface on mixed-degree inputs
     assert not diff(Multivector.basis(B1)).is_zero()
     assert build_dbar2(B) != build_dbar2_factorized(B)
@@ -242,7 +242,7 @@ def test_conjugate_w_involution_and_antilinearity(rng):
     for m in MONOMIALS:
         mv = Multivector.basis(m, rand_qc(rng))
         assert conjugate_w(conjugate_w(mv)) == mv
-    assert conjugate_w(Multivector.scalar(QC(0, 1))) == Multivector.scalar(QC(0, -1))
+    assert conjugate_w(Multivector.basis(0, QC(0, 1))) == Multivector.basis(0, QC(0, -1))
     assert conjugate_w(Multivector.basis(T1)) == Multivector.basis(B1)
     assert conjugate_w(Multivector.basis(mono_mask((1,), (1, 2)))) == \
         Multivector.basis(mono_mask((1, 2), (1,)))

@@ -125,9 +125,26 @@ def test_superft_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [
-    None, "not json", '{"components": {"|": [[1,0,"x",0,0,0,1]]}}'])
+    None, "not json", '{"components": {"|": [[1,0,"x",0,0,0,1]]}}',
+    # monomial keys outside '<I>|<J>' with I, J in '', '1', '2', '12'
+    '{"components": {"21|": [[1,0,1,0,0,0,1]], "12|": [[2,0,1,0,0,0,1]]}}',
+    '{"components": {"11|": [[1,0,1,0,0,0,1]]}}',
+    '{"components": {"|22": [[1,0,1,0,0,0,1]]}}',
+    '{"components": {"9|": [[1,0,1,0,0,0,1]]}}',
+    '{"components": {"1|3": [[1,0,1,0,0,0,1]]}}',
+    # rows: non-finite, boolean, a sign other than +-1, too short, an int beyond
+    # the float range; components, then the whole file, not an object
+    '{"components": {"|": [[NaN,0,1,0,0,0,1]]}}',
+    '{"components": {"|": [[1,0,1,Infinity,0,0,1]]}}',
+    '{"components": {"|": [[1,0,true,0,0,0,1]]}}',
+    '{"components": {"|": [[1,0,1,0,0,0,2]]}}',
+    '{"components": {"|": [[1,0,1,0,0,0]]}}',
+    '{"components": {"|": [[1,0,1' + "0" * 400 + ',0,0,0,1]]}}',
+    '{"components": []}', '[]',
+])
 def test_superft_bad_input_is_a_usage_error(tmp_path, capsys, content):
-    """A missing file, a non-JSON file and a bad row exit 2 with one line."""
+    """A missing file, a non-JSON file, a bad monomial key and a bad row exit
+    2 with one line."""
     fin = tmp_path / "f.json"
     if content is not None:
         fin.write_text(content)
@@ -274,6 +291,28 @@ def test_superkit_tol_reaches_every_float_check_of_the_symbols_suite(capsys, mon
     monkeypatch.delenv("SUPERKIT_TOL")
     code, out = run(capsys, *argv)
     assert code == 0
+
+
+def test_momentum_constraints_count_a_zero_bosonic_factor_at_tolerance_0(capsys, monkeypatch):
+    """At p = (1.25, 0.6, 0, 0.45) the float bosonic factor |p|^2 - m^2 is
+    exactly 0, so momentum_constraints passes even at SUPERKIT_TOL=0."""
+    monkeypatch.setenv("SUPERKIT_TOL", "0")
+    _, out = run(capsys, "pipeline", "--mass", "1", "--momentum", "[1.25,0.6,0.0,0.45]", "--json")
+    status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["momentum_constraints"] == "pass"
+
+
+def test_kernel_superspin0_dims_follow_superkit_tol(capsys, monkeypatch):
+    """|p|^2 - m^2 = -0.0091 at p = (1.25, 0.6, 0, 0.46): off shell at the
+    default tolerance, on shell at SUPERKIT_TOL=0.01."""
+    argv = ["kernel", "--symbol", "superspin0", "--momentum", "[1.25,0.6,0.0,0.46]", "--json"]
+    dims = {}
+    for tol in ("1e-9", "0.01"):
+        monkeypatch.setenv("SUPERKIT_TOL", tol)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        dims[tol] = json.loads(out)["constraints"]["solution_dims_paired"]
+    assert dims == {"1e-9": [0, 0], "0.01": [2, 2]}
 
 
 def test_superkit_tol_is_read_when_main_runs(capsys, monkeypatch):

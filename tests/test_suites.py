@@ -112,6 +112,15 @@ def test_exact_check_fails_when_a_convention_breaks(name, monkeypatch):
     assert check(data)[0] is False
 
 
+def test_zeta_intertwining_fails_when_eps_upper_flips(monkeypatch):
+    """D^2 on superspace squares with eps^{ab} and zeta_{d^2} with eps_{ab}
+    (ledger L2), so negating eps_upper alone breaks the D^2 intertwining."""
+    fs = _superfunctions(random.Random(11))
+    assert suites.zeta_intertwining(fs)[0] is True
+    monkeypatch.setattr(conventions, "EPS_UPPER", ((0, -1), (1, 0)))
+    assert suites.zeta_intertwining(fs) == (False, 1.0, "D2 intertwining")
+
+
 def test_float_check_fails_when_a_koszul_sign_breaks(monkeypatch):
     samples = _shell(random.Random(11))
     assert suites.propagation_route(samples, 1e-9)[0] is True

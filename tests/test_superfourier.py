@@ -331,6 +331,19 @@ def test_superfunction_json_round_trip(rng):
     assert f2.side == "position"
 
 
+@pytest.mark.parametrize("components, needle", [
+    ({"21|": [[1, 0, 1, 0, 0, 0, 1]]}, "bad monomial key '21|'"),
+    ({"|": [[1, 0, 1, 0, 0, 0, 1]], "1|": [[1, 0, 1, 0, 0, 0, 1], [1, 0, True, 0, 0, 0, 1]]},
+     "component '1|': row 1: "),
+    ({"2|": [[float("nan"), 0, 1, 0, 0, 0, 1]]}, "component '2|': row 0: "),
+    ({"|1": [[1, 0, 1, 0, 0, 0, 0]]}, "component '|1': row 0: "),
+])
+def test_superfunction_from_json_names_the_bad_key_or_row(components, needle):
+    with pytest.raises(ValueError) as err:
+        SuperFunction.from_json({"components": components})
+    assert needle in str(err.value)
+
+
 # -- no stored zeros ------------------------------------------------------------------
 
 # few coefficient values and momenta, so sums and operator images cancel often

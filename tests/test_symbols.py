@@ -6,9 +6,10 @@ import pytest
 
 from conftest import ONSHELL_EXACT, act_on_momentum, multiplicity, rand_momentum
 
-from superkit import linalg, suites
+from superkit import conventions, linalg, suites
 from superkit.exactnum import QC, as_complex, coerce
-from superkit.grassmann import EndoW, Multivector, PairingMatrix, int_plus, mono_mask
+from superkit.grassmann import (EndoW, Multivector, PairingMatrix, build_d2, int_plus,
+                                mono_mask)
 from superkit.spin_geometry import (gamma_pair, m2_dagger, m2_inv_unimodular,
                                     minkowski_norm2)
 from superkit.suites import rand_onshell, rand_shell_sample
@@ -32,14 +33,14 @@ def test_zeta_int_table_entry():
     # at p = e^2 the (1,1) pairing vanishes
     B = gamma_pair((0, 0, 1, 0))
     assert int_plus(1, B, Multivector.basis(mono_mask((), (1,)))).is_zero()
-    assert int_plus(1, B, Multivector.basis(mono_mask((), (2,)))) == Multivector.scalar(1)
+    assert int_plus(1, B, Multivector.basis(mono_mask((), (2,)))) == Multivector.basis(0, 1)
 
 
 def test_zeta_i2_top_gives_norm(rng):
     for _ in range(10):
         p = rand_momentum(rng)
         out = zeta_i2(p)(Multivector.basis(B12))
-        assert out == Multivector.scalar(minkowski_norm2(p))
+        assert out == Multivector.basis(0, minkowski_norm2(p))
 
 
 def test_zeta_d2_display_on_chiral_element(rng):
@@ -178,6 +179,8 @@ def test_divergence_errors():
         divergence_symbol(0, 1, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         divergence_symbol(0.3, 1, (1, 0, 0, 0))
+    with pytest.raises(TypeError):
+        divergence_kernel_dim(1, 1, (1.0, 0, 0, 0))
 
 
 def test_superspin0_factors(rng):
@@ -193,8 +196,25 @@ def test_superspin0_rest_frame_reduction():
 
 
 def test_superspin0_solution_dims():
-    assert superspin0_constraints(ONSHELL_EXACT[0], 1).solution_dims_paired() == (2, 2)
-    assert superspin0_constraints((3, 0, 0, 0), 1).solution_dims_paired() == (0, 0)
+    assert superspin0_constraints(ONSHELL_EXACT[0], 1).solution_dims_paired(0.0) == (2, 2)
+    assert superspin0_constraints((3, 0, 0, 0), 1).solution_dims_paired(0.0) == (0, 0)
+    # a float bosonic factor counts as zero up to and including the tolerance
+    exact_zero = superspin0_constraints((1.25, 0.6, 0.0, 0.45), 1)
+    assert exact_zero.bosonic_factor == 0 and exact_zero.solution_dims_paired(0.0) == (2, 2)
+    near = superspin0_constraints((1.25, 0.6, 0.0, 0.46), 1)
+    assert near.solution_dims_paired(1e-9) == (0, 0)
+    assert near.solution_dims_paired(0.01) == (2, 2)
+
+
+def test_symbols_follow_a_patched_eps_lower(monkeypatch):
+    """zeta_d2 reads eps_lower from the ledger on each call, exact and float:
+    negating eps negates d^2, and the float fit is redone for the new table."""
+    B = gamma_pair((F2(13, 12), F2(5, 12), 0, 0))
+    p = (1.25, 0.6, 0.0, 0.45)
+    exact, fitted = build_d2(B), zeta_d2(p)
+    monkeypatch.setattr(conventions, "EPS_LOWER", ((0, -1), (1, 0)))
+    assert build_d2(B) == -1 * exact
+    assert np.array_equal(zeta_d2(p), -fitted)
 
 
 def test_multiplicity_ladder():
