@@ -54,13 +54,6 @@ class ChiralData:
                 "psi2": self.psi[1].to_json(),
                 "F": self.F.to_json()}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(PlaneWaveFn.from_json(data["phi"]),
-                   (PlaneWaveFn.from_json(data["psi1"]),
-                    PlaneWaveFn.from_json(data["psi2"])),
-                   PlaneWaveFn.from_json(data["F"]))
-
 
 def _lam(b, psi):
     """lambda_b = -i Gamma^mu_{2b} d_mu psi_1 + i Gamma^mu_{1b} d_mu psi_2."""

@@ -14,10 +14,10 @@ QC is closed under +, -, *, / (nonzero divisor).  Mixing a QC with a float or
 a python complex silently degrades to python ``complex``.  The float symbol
 route (boosts, ``spin_action_endo``, float ``zeta_*``, ``propagate``) does not
 use QC: it works on plain ``complex128`` arrays.  Float momenta in the
-pairing table, float superfunctions and the float Dirac and divergence kernels
-still rely on it.  Equality with a float or complex is exact,
-and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold ``a`` and
-``b`` exactly, so equal values hash equal.
+pairing table, float superfunctions and the float Dirac kernel still rely on
+it; the divergence kernel is exact only.  Equality with a float or complex is
+exact, and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold
+``a`` and ``b`` exactly, so equal values hash equal.
 """
 
 from __future__ import annotations
@@ -219,15 +219,3 @@ def coerce(z):
     if isinstance(z, _EXACT):
         return QC(z)
     return complex(z)
-
-
-def from_pairs(re_num, re_den, im_num, im_den):
-    return QC(Fraction(re_num, re_den), Fraction(im_num, im_den))
-
-
-def to_pairs(z):
-    z = coerce(z)
-    if not isinstance(z, QC):
-        raise TypeError("exact serialization requires exact scalars")
-    re, im = z.re, z.im
-    return [re.numerator, re.denominator, im.numerator, im.denominator]

@@ -79,12 +79,6 @@ def parity(mask):
     return degree(mask) & 1
 
 
-def mono_name(mask):
-    ps = "".join(f"t{a}" for a in plus_set(mask))
-    ms = "".join(f"b{a}" for a in minus_set(mask))
-    return (ps + ms) or "1"
-
-
 def mono_key(mask):
     """JSON key '<I>|<J>' with I, J in {'', '1', '2', '12'}."""
     return "".join(str(a) for a in plus_set(mask)) + "|" + \
@@ -258,19 +252,10 @@ class Multivector(SparseSum):
     def from_vector(cls, vec):
         return cls({m: vec[m] for m in MONOMIALS})
 
-    def to_json(self):
-        from .exactnum import to_pairs
-        return {"coeffs": {mono_key(m): to_pairs(c) for m, c in sorted(self.coeffs.items())}}
-
-    @classmethod
-    def from_json(cls, data):
-        from .exactnum import from_pairs
-        return cls({mask_from_key(k): from_pairs(*v) for k, v in data["coeffs"].items()})
-
     def __repr__(self):
         if not self.coeffs:
             return "Multivector(0)"
-        parts = [f"{c!r}*{mono_name(m)}" for m, c in sorted(self.coeffs.items())]
+        parts = [f"{c!r}*{mono_key(m)}" for m, c in sorted(self.coeffs.items())]
         return "Multivector(" + " + ".join(parts) + ")"
 
 
@@ -361,10 +346,6 @@ class EndoW:
         cols = [fn(Multivector.basis(m)).to_vector() for m in MONOMIALS]
         return cls([[cols[c][r] for c in MONOMIALS] for r in MONOMIALS])
 
-    @classmethod
-    def identity(cls):
-        return cls([[QC(1) if i == j else QC(0) for j in MONOMIALS] for i in MONOMIALS])
-
     def __call__(self, mv):
         out = {}
         for c, coef in mv.coeffs.items():
@@ -394,9 +375,6 @@ class EndoW:
             return NotImplemented
         return self.mat == other.mat
 
-    def is_zero(self):
-        return not any(x for row in self.mat for x in row)
-
     def parity(self):
         """'even', 'odd', or 'mixed' from the sparsity pattern."""
         has_even = has_odd = False
@@ -411,10 +389,6 @@ class EndoW:
         if has_even and has_odd:
             return "mixed"
         return "odd" if has_odd else "even"
-
-    def to_json(self):
-        from .exactnum import to_pairs
-        return [[to_pairs(x) for x in row] for row in self.mat]
 
 
 # -- the d / q family ------------------------------------------------------

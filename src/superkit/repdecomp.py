@@ -55,9 +55,6 @@ class WeightMultiset:
     def is_symmetric(self):
         return all(self[w] == self[-w] for w in self.mult)
 
-    def as_spin_dict(self):
-        return {w / 2 if w % 2 else w // 2: k for w, k in sorted(self.mult.items())}
-
 
 class SpinDecomposition:
     """Map doubled-spin -> multiplicity, with dimension bookkeeping."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import conventions
-from .exactnum import QC, as_complex, coerce, conj, is_exact
+from .exactnum import as_complex, coerce, conj, is_exact
 from .grassmann import EndoW, PairingMatrix
 
 
@@ -70,11 +70,6 @@ def classify_orbit(p, tol=0.0):
 
 # -- 2x2 complex matrices ---------------------------------------------------
 
-def m2_mul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
-
-
 def m2_dagger(a):
     return [[conj(a[0][0]), conj(a[1][0])], [conj(a[0][1]), conj(a[1][1])]]
 
@@ -104,15 +99,15 @@ class SpinElement:
             if abs(d - 1.0) > tol:
                 raise ValueError(f"det {d} != 1")
 
-    @classmethod
-    def identity(cls):
-        return cls([[1, 0], [0, 1]], check=False)
-
     def inverse(self):
         return SpinElement(m2_inv_unimodular(self.a), check=False)
 
     def __matmul__(self, other):
-        return SpinElement(m2_mul(self.a, other.a), check=False)
+        a, b = self.a, other.a
+        return SpinElement([[a[0][0] * b[0][0] + a[0][1] * b[1][0],
+                             a[0][0] * b[0][1] + a[0][1] * b[1][1]],
+                            [a[1][0] * b[0][0] + a[1][1] * b[1][0],
+                             a[1][0] * b[0][1] + a[1][1] * b[1][1]]], check=False)
 
     def plus_matrix(self):
         """Coefficient action on S_+^* columns: the dual (contragredient) rep."""
@@ -171,27 +166,3 @@ def spin_action_endo(h):
     rho = np.kron(minus, plus)
     return EndoW(rho) if exact else rho
 
-
-def conj_zeta(z):
-    """zeta(z1, z2) = (-i conj(z2), i conj(z1)).
-
-    Antilinear and equivariant; its square is -Id (the half-spinor space is
-    quaternionic, so no equivariant antilinear square root of +Id exists on
-    it -- see decisions ledger).  The involutive real structure lives on the
-    four-dimensional sum, via :func:`c1`.
-    """
-    z1, z2 = z
-    return (QC(0, -1) * conj(z2), QC(0, 1) * conj(z1))
-
-
-def c1(z):
-    """Conjugation of S_C^* = S_+^* + S_-^*: antilinear, (c1)^2 = Id.
-
-    The block acting on the minus half carries a compensating sign so that
-    the square is +Id; on the plus half this reproduces the basis images
-    fbar^1 = (0,0,0,i), fbar^2 = (0,0,-i,0).
-    """
-    z1, z2, z3, z4 = z
-    a, b = conj_zeta((z3, z4))
-    c, d = conj_zeta((z1, z2))
-    return (-a, -b, c, d)

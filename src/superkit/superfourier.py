@@ -20,7 +20,7 @@ import math
 
 from . import conventions, grassmann
 from .exactnum import QC, as_complex, coerce, conj, scal_is_zero
-from .grassmann import (MONOMIALS, Multivector, SparseSum, apply_generators, degree,
+from .grassmann import (MONOMIALS, Multivector, SparseSum, apply_generators,
                         eps_square, koszul_sign, mono_key, mono_mask, mask_from_key,
                         minus_set, parity, plus_set)
 from .spin_geometry import pair_covector
@@ -514,14 +514,6 @@ class GrassElt(SparseSum):
         if len(ps) == 1:
             return ps.pop()
         return None
-
-    def conjugate(self):
-        """Graded (reversing) conjugation with real generators."""
-        out = {}
-        for m, c in self.coeffs.items():
-            k = degree(m)
-            out[m] = conj(c) * ((-1) ** (k * (k - 1) // 2))
-        return self._like(out)
 
     def __repr__(self):
         return f"GrassElt({self.coeffs!r})"

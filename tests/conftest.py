@@ -11,7 +11,7 @@ import pytest
 from superkit import components as cmp
 from superkit.exactnum import as_complex
 from superkit.grassmann import MONOMIALS, Multivector, chiral_kernel, mono_mask
-from superkit.spin_geometry import gamma_pair, m2_dagger, m2_mul
+from superkit.spin_geometry import gamma_pair, m2_dagger
 from superkit.suites import rand_momentum, rand_qc
 from superkit.superfourier import SuperFunction, single_wave
 
@@ -72,6 +72,11 @@ def dense_matrix(act):
 def apply_matrix(mat, mv):
     """A 16x16 complex128 operator on W applied to a Multivector."""
     return Multivector.from_vector(mat @ np.array([complex(x) for x in mv.to_vector()]))
+
+
+def m2_mul(a, b):
+    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
+            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
 
 
 def act_on_momentum(h, p):

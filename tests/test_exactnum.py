@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from superkit.exactnum import QC, coerce, conj, from_pairs, to_pairs
+from superkit.exactnum import QC, conj
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qcs = st.builds(QC, rationals, rationals)
@@ -45,12 +45,6 @@ def test_mixed_mode_degrades_to_complex():
     # exact partners stay exact
     assert isinstance(z * Fraction(2, 7), QC)
     assert isinstance(z + 3, QC)
-
-
-def test_pair_serialization_round_trip():
-    z = QC(Fraction(-7, 3), Fraction(5, 11))
-    assert from_pairs(*to_pairs(z)) == z
-    assert to_pairs(coerce(Fraction(2, 4))) == [1, 2, 0, 1]
 
 
 # -- the integer-triple representation against a (Fraction, Fraction) reference --

@@ -1,74 +1,116 @@
-"""Every function, class and method in superkit is reached from superkit.
+"""Every function and method in superkit is reached from a command, and every
+name a module imports is used there.
 
-A def counts as used only when some other code of ``src/superkit`` refers to
-its name: as an AST ``Name`` (a call, a decorator, a value passed on), as an
-``Attribute`` (``obj.name``, ``module.name``) or in an import.  References
-inside the def's own body (recursion) do not count, and neither do uses in
-``tests/`` or ``perfbench/``, words in string constants or in docs: a test
-oracle belongs in ``tests/``, and a claim of the paper that only a test calls
-needs a command that reports it.  The AST does not know the type behind
-``obj.name``, so one attribute reference counts for every method of that
-name.  Dunders are called by the language and are exempt.  There is no
-allowlist.
+Reachability is measured, not guessed from names: a fresh interpreter sets a
+``sys.setprofile`` hook before it imports superkit, records the code object of
+every Python-level call, and runs ``superkit.cli.main`` on every argv of the
+golden corpus (``tests/golden/regenerate.MATRIX``; one ``identities`` seed
+stands for the ten, which run the same code) plus one human-readable report.
+A def counts as reached when its code object ran, so calls from tests or
+``perfbench/`` do not count, and neither does a caller that is itself never
+run.  Import-time calls (``GEN_TABLE``) count.  A def is matched by the line
+of its code object, which for a decorated def is its first decorator's line.
+Dunders are called by the language and are exempt.  There is no allowlist.
 """
 
 import ast
-from collections import Counter
+import json
+import shutil
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superkit"
+from conftest import run_python
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "superkit"
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+from regenerate import MATRIX  # noqa: E402
+
+SKIPPED_SEEDS = {f"identities_seed{s}" for s in range(1, 10)}
+COMMANDS = [argv for name, (argv, _) in MATRIX.items() if name not in SKIPPED_SEEDS] + [
+    ["identities", "--suite", "algebra"]]     # the human report: Report.print_human
+
+# Run in the child interpreter: argv = [src dir, repository root, JSON argv list].
+_CHILD = """
+import contextlib, io, json, os, sys
+src, root, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path.insert(0, src)
+os.chdir(root)
+reached = set()
+def hook(frame, event, arg):
+    if event == "call":
+        reached.add(frame.f_code)
+sys.setprofile(hook)
+from superkit import cli
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted({(os.path.realpath(c.co_filename), c.co_firstlineno) for c in reached})))
+"""
 
 
-def _references(node):
-    """How often `node` and its subtree refer to each name."""
-    out = Counter()
-    for x in ast.walk(node):
-        if isinstance(x, ast.Name):
-            out[x.id] += 1
-        elif isinstance(x, ast.Attribute):
-            out[x.attr] += 1
-        elif isinstance(x, ast.alias):
-            out[x.name.rsplit(".", 1)[-1]] += 1
-    return out
+def _defs(tree, prefix=""):
+    """(first line, qualified name) of every non-dunder def in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                first = node.decorator_list[0] if node.decorator_list else node
+                yield first.lineno, name
+            yield from _defs(node, name + ".")
+        else:
+            yield from _defs(node, prefix)
 
 
-def unreferenced_defs(package=PACKAGE):
-    """``module.name`` of every non-dunder def and class in `package` that no
-    other code of the package refers to."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and total[node.name] == _references(node)[node.name]):
-                unused.append(f"{module}.{node.name}")
-    return unused
+def unreached_defs(src, commands=COMMANDS):
+    """``module.qualname`` of every non-dunder def of ``<src>/superkit`` that
+    no command of `commands` calls."""
+    out = run_python("-c", _CHILD, str(src), str(ROOT), json.dumps(commands))
+    assert out.returncode == 0, out.stderr
+    reached = {tuple(x) for x in json.loads(out.stdout)}
+    unreached = []
+    for path in sorted((Path(src) / "superkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unreached += [f"{path.stem}.{name}" for line, name in _defs(tree)
+                      if (str(path.resolve()), line) not in reached]
+    return unreached
 
 
-def test_every_definition_has_a_caller():
-    unused = unreferenced_defs()
-    assert not unused, f"defined in src/ but never referenced from src/: {unused}"
+def test_every_definition_is_reached_by_a_command():
+    unreached = unreached_defs(PACKAGE.parent)
+    assert not unreached, f"defined in src/ but reached by no command: {unreached}"
 
 
-def test_references_count_only_from_other_package_code(tmp_path):
-    """Recursion, string constants and docstrings are not references; a
-    Name, an Attribute and an import each are."""
-    (tmp_path / "a.py").write_text(
-        'def used_by_name(): pass\n'
-        'def used_by_attr(): pass\n'
-        'def used_by_import(): pass\n'
-        'def only_recursive(n): return only_recursive(n - 1)\n'
-        'def only_in_strings(): pass\n'
-        'def caller():\n'
-        '    """only_in_strings is named here."""\n'
-        '    return used_by_name(), getattr(caller, "only_in_strings")\n'
-        'class Box:\n'
-        '    def method(self): return self.used_by_attr\n',
-        encoding="utf-8")
-    (tmp_path / "b.py").write_text(
-        'from a import used_by_import\nimport a\nx = a.Box().method(), a.caller\n',
-        encoding="utf-8")
-    assert unreferenced_defs(tmp_path) == ["a.only_recursive", "a.only_in_strings"]
+def test_reachability_lists_a_def_no_command_calls(tmp_path):
+    """Negative control on a copy of the package: an appended def is listed;
+    the cached ``build_parser`` and the import-time generator actions are not."""
+    shutil.copytree(PACKAGE, tmp_path / "superkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "superkit" / "grassmann.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef never_called():\n    return 0\n")
+    unreached = unreached_defs(tmp_path, [["content", "--sigma", "1", "--json"]])
+    assert "grassmann.never_called" in unreached
+    for name in ("cli.build_parser", "grassmann.wedge_gen", "grassmann.contract_gen"):
+        assert name not in unreached
+
+
+def _unused_imports(tree):
+    """Names a module imports (``from __future__`` excepted) that it never
+    uses as a name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+def test_every_import_is_used():
+    unused = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not unused, f"imported but never used: {unused}"

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import act_on_momentum, dense_matrix, rand_momentum
+from conftest import act_on_momentum, dense_matrix, m2_mul, rand_momentum
 
 from superkit.exactnum import QC, as_complex, coerce
 from superkit.grassmann import (EndoW, Multivector, PairingMatrix, ext_minus, int_plus,
                                 koszul_sign, mono_mask)
 from superkit.spin_geometry import (NonPositiveEnergy, OffOrbit, SpinElement,
-                                    c1, classify_orbit,
-                                    conj_zeta, gamma_lower, gamma_pair, m2_dagger,
-                                    m2_det, m2_mul, minkowski_norm2, rest_boost,
-                                    spin_action_endo)
+                                    classify_orbit, gamma_lower, gamma_pair, m2_dagger,
+                                    m2_det, minkowski_norm2, rest_boost, spin_action_endo)
 
 
 def test_minkowski_norm_examples():
@@ -111,7 +109,8 @@ def test_momentum_action_preserves_norm_and_pairing(rng):
 
 
 def test_spin_action_identity_composition_top(rng):
-    assert spin_action_endo(SpinElement.identity()) == EndoW.identity()
+    assert (spin_action_endo(SpinElement([[1, 0], [0, 1]], check=False))
+            == EndoW.from_action(lambda mv: mv))
     h1, h2 = _rand_sl2(rng), _rand_sl2(rng)
     lhs = spin_action_endo(h1 @ h2)
     rhs = spin_action_endo(h1) @ spin_action_endo(h2)
@@ -192,23 +191,6 @@ def test_pairing_equivariance_through_w_action(rng):
             op = rho @ (i_a @ e_b + e_b @ i_a) @ rho_inv
             # conjugating a scalar multiple of Id leaves it fixed: B(p)
             assert abs(op[0, 0] - as_complex(gamma_pair(p)[a, b])) < 1e-8
-
-
-def test_conj_zeta_formula():
-    assert conj_zeta((QC(1), QC(0))) == (QC(0), QC(0, 1))
-    assert conj_zeta((QC(0), QC(1))) == (QC(0, -1), QC(0))
-    # the half-spinor space is quaternionic: zeta squares to -Id
-    z = (QC(2, 1), QC(-1, 3))
-    assert conj_zeta(conj_zeta(z)) == (-z[0], -z[1])
-
-
-def test_c1_involution_and_basis_images():
-    f1 = (QC(1), QC(0), QC(0), QC(0))
-    f2 = (QC(0), QC(1), QC(0), QC(0))
-    assert c1(f1) == (QC(0), QC(0), QC(0), QC(0, 1))
-    assert c1(f2) == (QC(0), QC(0), QC(0, -1), QC(0))
-    v = (QC(2, 1), QC(-1, 3), QC(0, 5), QC(7))
-    assert c1(c1(v)) == v
 
 
 def boost_x(eta):

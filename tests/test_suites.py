@@ -139,6 +139,18 @@ def test_documented_red_check_can_pass(monkeypatch):
     assert suites.d2_route_equivalence(pairings)[0] is True
 
 
+def test_documented_red_check_names_each_failing_route(monkeypatch):
+    """d2_route_equivalence compares both routes: a d^2 mismatch does not hide
+    the d-bar^2 one, and the detail names exactly the routes that differ."""
+    pairings = _pairings(random.Random(11))
+    assert suites.d2_route_equivalence(pairings)[2].startswith("d2 and dbar2: composed")
+    monkeypatch.setattr(suites, "build_d2_factorized", build_d2)
+    assert suites.d2_route_equivalence(pairings)[2].startswith("dbar2: composed")
+    monkeypatch.undo()
+    monkeypatch.setattr(suites, "build_dbar2_factorized", build_dbar2)
+    assert suites.d2_route_equivalence(pairings)[2].startswith("d2: composed")
+
+
 def test_generator_sign_break_fails_brackets_intertwining_and_wz(monkeypatch, capsys):
     """Under this break (tau^1 wedged onto tau-bar^2 with the wrong sign) the
     bracket table, the zeta intertwining and the pipeline's wz_vanishes all
