@@ -48,6 +48,8 @@ MATRIX = {
                        PIPELINE_FLOAT_TOL),
     "pipeline_float_grid": (["pipeline", "--mass", "1", "--momentum", FLOAT_P, *GRID,
                              "--json"], PIPELINE_FLOAT_TOL),
+    "pipeline_float_grid17": (["pipeline", "--mass", "1", "--momentum", FLOAT_P,
+                               "--grid", "17,0.2", "--json"], PIPELINE_FLOAT_TOL),
     **{f"kernel_{sym}_{kind}": (["kernel", "--symbol", sym, "--momentum", p, "--json"], {})
        for sym in ("dirac", "chiral", "superspin0")
        for kind, p in (("exact", EXACT_P2), ("float", FLOAT_P))},
