@@ -263,14 +263,16 @@ def _max_abs_interior(coeffs, grid):
     """Max of |c_0 e^{i q_0 . x} + c_1 e^{i q_1 . x}| over the interior grid
     points, by a nearest-phase search instead of a sweep.
 
-    With d = q_1 - q_0, the modulus is |c_0 + c_1 e^{i d_0 t} e^{i psi(s)}|
-    with psi(s) the spatial phase d_1 x_1 + d_2 x_2 + d_3 x_3.  On each time
-    slice it falls with the circular distance of psi from
-    arg c_0 - arg(c_1 e^{i d_0 t}), so the maximum sits at one of the two
-    circular neighbours of that target among the sorted spatial phases mod
-    2 pi: O(S log S) for the S spatial points, then a binary search per
-    time slice.  One frequency gives |c|, none 0; more than two raise
-    ValueError (no residual of grid_residual has more).
+    With d = q_1 - q_0, the modulus is |c_0 + c_1 e^{i(d_0 t + d_3 x_3)}
+    e^{i psi}| with psi = d_1 x_1 + d_2 x_2.  On each (t, x_3) line it falls
+    with the circular distance of psi from the shifted target
+    arg c_0 - arg c_1 - d_0 t - d_3 x_3, so the line's maximum sits at one of
+    the two circular neighbours of that target among the sorted psi mod 2 pi.
+    The smallest of those gaps g gives the max, | |c_0| + |c_1| e^{i g} |.
+    With m = n - 2 interior points per axis that is a sort of m^2 phases and
+    one vectorized binary search for the m^2 lines: O(m^2 log m), not the
+    m^3 log m of sorting every spatial phase.  One frequency gives |c|, none
+    0; more than two raise ValueError (no residual of grid_residual has more).
     """
     if len(coeffs) > 2:
         raise ValueError(f"nearest-phase max needs at most 2 frequencies, got {len(coeffs)}")
@@ -280,12 +282,17 @@ def _max_abs_interior(coeffs, grid):
     d = np.subtract(q1, q0) / (2 * np.pi)  # phases in turns: x - floor(x) beats np.mod
     x = grid.h * np.arange(1, grid.n - 1)
     t, x1, x2, x3 = (o + x for o in grid.origin)
-    psi = np.add.outer(np.add.outer(d[1] * x1, d[2] * x2), d[3] * x3).ravel()
+    psi = np.add.outer(d[1] * x1, d[2] * x2).ravel()
     psi = np.sort(psi - np.floor(psi))
-    target = (np.angle(c0) - np.angle(c1)) / (2 * np.pi) - d[0] * t
-    right = np.searchsorted(psi, target - np.floor(target)) % len(psi)
-    near = psi[np.stack([right - 1, right])]  # index -1 wraps round the circle
-    return float(np.abs(c0 + c1 * np.exp(2j * np.pi * (d[0] * t + near))).max())
+    # per (t, x_3) line, the psi at which the two waves align
+    target = (np.angle(c0) - np.angle(c1)) / (2 * np.pi) - np.add.outer(d[0] * t, d[3] * x3)
+    target -= np.floor(target)
+    right = np.searchsorted(psi, target)
+    # index -1 wraps round the circle, and so does a gap beyond half a turn
+    gap = np.abs(psi[np.stack([right - 1, right % len(psi)])] - target)
+    gap = min(gap.min(), 1 - gap.max())
+    # the modulus falls with the circular gap g: | |c_0| + |c_1| e^{2 pi i g} |
+    return float(abs(abs(c0) + abs(c1) * np.exp(2j * np.pi * gap)))
 
 
 def grid_residual(c, m, grid):
@@ -296,9 +303,11 @@ def grid_residual(c, m, grid):
     interior points the stencils multiply a sampled wave e^{i q . x} by their
     discrete symbols -(4/h^2) sin^2(q_mu h/2) and i sin(q_mu h)/h, so each
     residual is built per frequency.  Its max norm comes from a nearest-phase
-    search (_max_abs_interior), which takes at most two frequencies: that
-    holds for the waves at +-p of solution_generator, and a Dirac residual
-    always pairs q with -q.  Data with more frequencies raise ValueError.
+    search (_max_abs_interior), O(m^2 log m) for m = n - 2 interior points
+    per axis instead of a sweep of the m^4 points.  The search takes at most
+    two frequencies: that holds for the waves at +-p of solution_generator,
+    and a Dirac residual always pairs q with -q.  Data with more frequencies
+    raise ValueError.
     """
     h, m = grid.h, float(m)
     s, eps, gamma = conventions.WZ_MASS_SIGN, conventions.EPS_UPPER, conventions.GAMMA_LOWER

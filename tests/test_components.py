@@ -352,6 +352,25 @@ def test_nearest_phase_max_matches_brute_force():
             grid = Grid4(7, 0.5, origin=(0.3, o1, 0.7, 1.1))
             cases.append(({q0: complex(math.cos(e), math.sin(e)), q1: 1 + 0j}, grid))
     cases.append(({q0: 0j, q1: 0.3 - 0.4j}, Grid4(6, 0.2, origin=(1.0, -2.0, 0.5, 3.0))))
+    # the benchmark's grids (n = 17 and its halving 33), every component of d
+    # nonzero, the frequency pair in both orders
+    for n in (17, 33):
+        for h in (0.2, 0.1):
+            qs = rng.uniform(-4, 4, (2, 4))
+            qs[1] += np.where(np.abs(qs[1] - qs[0]) < 0.1, 0.5, 0.0)
+            c = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
+            grid = Grid4(n, h, origin=tuple(rng.uniform(-5, 5, 4)))
+            for i, j in ((0, 1), (1, 0)):
+                cases.append(({tuple(qs[i]): c[i], tuple(qs[j]): c[j]}, grid))
+    # d = (0, 1, 0, 0.1) in turns puts the x_1 x_2 phases at 0.99 and 0.49 (o_1 =
+    # -0.01) or 0.01 and 0.51 (o_1 = 0.01); the target of the (t, x_3) line
+    # x_3 = 0.5 j steps by -+0.05 from 0.151 (or 0.849), so its nearest phase
+    # lies across the wrap for j <= 3 only, and the max sits on j = 3
+    for o1, theta, sgn in ((-0.01, 0.151, 1), (0.01, 0.849, -1)):
+        d = 2 * np.pi * np.array([0.0, 1.0, 0.0, 0.1 * sgn])
+        grid = Grid4(7, 0.5, origin=(0.3, o1, 0.7, 0.0))
+        cases.append(({q0: complex(np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)),
+                       tuple(np.add(q0, d)): 1 + 0j}, grid))
     for coeffs, grid in cases:
         got, ref = _max_abs_interior(coeffs, grid), _brute_max_abs_interior(coeffs, grid)
         assert abs(got - ref) <= 1e-12 * ref, (coeffs, got, ref)

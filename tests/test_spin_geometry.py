@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import act_on_momentum, dense_matrix, m2_mul, rand_momentum
+from conftest import act_on_momentum, dense_matrix, m2_mul, rand_momentum, rand_sl2
 
 from superkit.exactnum import QC, as_complex, coerce
 from superkit.grassmann import (EndoW, Multivector, PairingMatrix, ext_minus, int_plus,
                                 koszul_sign, mono_mask)
 from superkit.spin_geometry import (NonPositiveEnergy, OffOrbit, SpinElement,
                                     classify_orbit, gamma_lower, gamma_pair, m2_dagger,
-                                    m2_det, minkowski_norm2, rest_boost, spin_action_endo)
+                                    minkowski_norm2, rest_boost, spin_action_endo)
 
 
 def test_minkowski_norm_examples():
@@ -85,19 +85,9 @@ def test_rest_boost_postcondition(m, k1, k2, k3):
     assert abs(as_complex(h.a[0][1]) - as_complex(h.a[1][0]).conjugate()) < 1e-10
 
 
-def _rand_sl2(rng):
-    while True:
-        m = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
-             for _ in range(2)]
-        d = m2_det(m)
-        if abs(d) > 0.1:
-            s = d ** -0.5
-            return SpinElement([[x * s for x in row] for row in m])
-
-
 def test_momentum_action_preserves_norm_and_pairing(rng):
     for _ in range(20):
-        h = _rand_sl2(rng)
+        h = rand_sl2(rng)
         p = tuple(rng.uniform(-2, 2) for _ in range(4))
         hp = act_on_momentum(h, p)
         assert abs(minkowski_norm2(hp) - minkowski_norm2(p)) < 1e-8
@@ -111,7 +101,7 @@ def test_momentum_action_preserves_norm_and_pairing(rng):
 def test_spin_action_identity_composition_top(rng):
     assert (spin_action_endo(SpinElement([[1, 0], [0, 1]], check=False))
             == EndoW.from_action(lambda mv: mv))
-    h1, h2 = _rand_sl2(rng), _rand_sl2(rng)
+    h1, h2 = rand_sl2(rng), rand_sl2(rng)
     lhs = spin_action_endo(h1 @ h2)
     rhs = spin_action_endo(h1) @ spin_action_endo(h2)
     assert np.abs(lhs - rhs).max() < 1e-9
@@ -166,7 +156,7 @@ def _rand_rational_sl2(rng):
 
 def test_spin_action_kron_matches_koszul_walk(rng):
     for _ in range(10):
-        h = _rand_sl2(rng)
+        h = rand_sl2(rng)
         got, ref = spin_action_endo(h), dense_matrix(_koszul_walk_spin_action(h))
         assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
     for _ in range(5):
@@ -179,7 +169,7 @@ def test_spin_action_kron_matches_koszul_walk(rng):
 def test_pairing_equivariance_through_w_action(rng):
     """The W action intertwines the momentum pairing: the anticommutator
     relation transported by rho(h) reproduces B(h.p)."""
-    h = _rand_sl2(rng)
+    h = rand_sl2(rng)
     p = tuple(rng.uniform(-2, 2) for _ in range(4))
     hp = act_on_momentum(h, p)
     rho = spin_action_endo(h)
