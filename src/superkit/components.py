@@ -310,13 +310,14 @@ def grid_residual(c, m, grid):
     raise ValueError.
     """
     h, m = grid.h, float(m)
-    s, eps, gamma = conventions.WZ_MASS_SIGN, conventions.EPS_UPPER, conventions.GAMMA_LOWER
+    s, eps = conventions.WZ_MASS_SIGN, conventions.EPS_UPPER
+    gamma = [[[as_complex(v) for v in vec] for vec in row] for row in conventions.GAMMA_LOWER]
     psi = [_float_coeffs(c.psi[0]), _float_coeffs(c.psi[1])]
 
     def psibar_d(a, b, q):
         # i Gamma^mu_{ab} d_mu psibar^b at q, psibar^b = eps^{bc} conj(psi_c):
         # conjugation moves psi_c's coefficient a at -q to conj(a) at q
-        sym = sum(as_complex(v) * 1j * math.sin(k * h) / h for v, k in zip(gamma[a][b], q))
+        sym = sum(v * 1j * math.sin(k * h) / h for v, k in zip(gamma[a][b], q))
         mq = tuple(-x for x in q)
         return 1j * sym * sum(e * p.get(mq, 0j).conjugate() for e, p in zip(eps[b], psi))
 

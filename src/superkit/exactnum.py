@@ -6,16 +6,23 @@ as an integer triple ``(a, b, d)`` kept in canonical form: ``d > 0`` and
 ``gcd(a, b, d) == 1``.  Every value therefore has exactly one triple, so
 equality compares components and zero is ``(0, 0, 1)``.  Each +, -, *, /
 multiplies out over the product of the denominators and restores canonical
-form with one multi-argument ``math.gcd``; adding an ``int`` needs none.
-``int`` and ``Fraction`` operands enter as numerator/denominator pairs, and
-the read-only ``.re`` and ``.im`` return reduced ``Fraction``s.
+form with one multi-argument ``math.gcd``; adding or subtracting an ``int``
+needs none.  +, -, * and unary - build and reduce their result inline, with
+no helper call, and test ``type(x) is QC`` and ``type(x) is int`` before
+anything slower: they run about a hundred thousand times per identity
+suite.  ``QC._of(a, b, d)`` is the trusted constructor for a triple the
+package computed in integers (a momentum pairing, a random value): it
+reduces but checks nothing.  ``int`` and ``Fraction`` operands enter as
+numerator/denominator pairs, and the read-only ``.re`` and ``.im`` return
+reduced ``Fraction``s.
 
 QC is closed under +, -, *, / (nonzero divisor).  Mixing a QC with a float or
 a python complex silently degrades to python ``complex``.  The float symbol
 route (boosts, ``spin_action_endo``, float ``zeta_*``, ``propagate``) does not
-use QC: it works on plain ``complex128`` arrays.  Float momenta in the
-pairing table, float superfunctions and the float Dirac kernel still rely on
-it; the divergence kernel is exact only.  Equality with a float or complex is
+use QC: it works on plain ``complex128`` arrays, and a float momentum is
+paired with a table entry in python complex.  Float superfunctions and the
+float Dirac kernel still rely on the float branch; the divergence kernel is
+exact only.  Equality with a float or complex is
 exact, and ``hash(QC(a, b)) == hash(complex(a, b))`` whenever floats hold
 ``a`` and ``b`` exactly, so equal values hash equal.
 """
@@ -30,28 +37,13 @@ _EXACT = (int, Fraction)
 _FLOATY = (float, complex)
 _HASH_MASK = (1 << sys.hash_info.width) - 1
 _HASH_SIGN = 1 << (sys.hash_info.width - 1)
-
-
-def _make(a, b, d):
-    """QC (a + b i) / d from ints with d > 0, reduced to canonical form."""
-    g = gcd(a, b, d)
-    z = object.__new__(QC)
-    if g == 1:
-        z._a, z._b, z._d = a, b, d
-    else:
-        z._a, z._b, z._d = a // g, b // g, d // g
-    return z
-
-
-def _canonical(a, b, d):
-    """QC from a triple that is already canonical."""
-    z = object.__new__(QC)
-    z._a, z._b, z._d = a, b, d
-    return z
+_new = object.__new__
 
 
 def _triple(x):
     """(a, b, d) of an exact scalar, or None for anything else."""
+    if type(x) is int:
+        return x, 0, 1
     if isinstance(x, QC):
         return x._a, x._b, x._d
     if isinstance(x, _EXACT):
@@ -76,6 +68,17 @@ class QC:
         self._b = im.numerator * (d // di)
         self._d = d
 
+    @classmethod
+    def _of(cls, a, b, d):
+        """QC (a + b i) / d from ints with d > 0, reduced to canonical form."""
+        g = gcd(a, b, d)
+        z = _new(cls)
+        if g == 1:
+            z._a, z._b, z._d = a, b, d
+        else:
+            z._a, z._b, z._d = a // g, b // g, d // g
+        return z
+
     @property
     def re(self):
         return Fraction(self._a, self._d)
@@ -87,44 +90,82 @@ class QC:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
-        if t is None:
-            return complex(self) + other if isinstance(other, _FLOATY) else NotImplemented
-        c, e, f = t
         a, b, d = self._a, self._b, self._d
-        if f == 1 and not e:
-            return _canonical(a + c * d, b, d)  # gcd(a + c d, b, d) = gcd(a, b, d) = 1
+        if type(other) is QC:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
+            z = _new(QC)    # gcd(a + c d, b, d) = gcd(a, b, d) = 1
+            z._a, z._b, z._d = a + other * d, b, d
+            return z
+        else:
+            t = _triple(other)
+            if t is None:
+                return complex(self) + other if isinstance(other, _FLOATY) else NotImplemented
+            c, e, f = t
         if d == f:
-            return _make(a + c, b + e, d)
-        return _make(a * f + c * d, b * f + e * d, d * f)
+            a, b = a + c, b + e
+        else:
+            a, b, d = a * f + c * d, b * f + e * d, d * f
+        g = gcd(a, b, d)
+        z = _new(QC)
+        if g == 1:
+            z._a, z._b, z._d = a, b, d
+        else:
+            z._a, z._b, z._d = a // g, b // g, d // g
+        return z
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
-        if t is None:
-            return complex(self) - other if isinstance(other, _FLOATY) else NotImplemented
-        c, e, f = t
         a, b, d = self._a, self._b, self._d
-        if f == 1 and not e:
-            return _canonical(a - c * d, b, d)  # gcd(a - c d, b, d) = gcd(a, b, d) = 1
+        if type(other) is QC:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
+            z = _new(QC)    # gcd(a - c d, b, d) = gcd(a, b, d) = 1
+            z._a, z._b, z._d = a - other * d, b, d
+            return z
+        else:
+            t = _triple(other)
+            if t is None:
+                return complex(self) - other if isinstance(other, _FLOATY) else NotImplemented
+            c, e, f = t
         if d == f:
-            return _make(a - c, b - e, d)
-        return _make(a * f - c * d, b * f - e * d, d * f)
+            a, b = a - c, b - e
+        else:
+            a, b, d = a * f - c * d, b * f - e * d, d * f
+        g = gcd(a, b, d)
+        z = _new(QC)
+        if g == 1:
+            z._a, z._b, z._d = a, b, d
+        else:
+            z._a, z._b, z._d = a // g, b // g, d // g
+        return z
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _canonical(-self._a, -self._b, self._d)
+        z = _new(QC)
+        z._a, z._b, z._d = -self._a, -self._b, self._d
+        return z
 
     def __mul__(self, other):
-        t = (other._a, other._b, other._d) if type(other) is QC else _triple(other)
-        if t is None:
-            return complex(self) * other if isinstance(other, _FLOATY) else NotImplemented
-        c, e, f = t
+        if type(other) is QC:
+            c, e, f = other._a, other._b, other._d
+        else:
+            t = _triple(other)
+            if t is None:
+                return complex(self) * other if isinstance(other, _FLOATY) else NotImplemented
+            c, e, f = t
         a, b, d = self._a, self._b, self._d
-        return _make(a * c - b * e, a * e + b * c, d * f)
+        a, b, d = a * c - b * e, a * e + b * c, d * f
+        g = gcd(a, b, d)
+        z = _new(QC)
+        if g == 1:
+            z._a, z._b, z._d = a, b, d
+        else:
+            z._a, z._b, z._d = a // g, b // g, d // g
+        return z
 
     __rmul__ = __mul__
 
@@ -137,7 +178,7 @@ class QC:
         if not n:
             raise ZeroDivisionError("division by zero QC")
         a, b, d = self._a, self._b, self._d
-        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+        return QC._of((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
         if isinstance(other, _EXACT):
@@ -149,7 +190,9 @@ class QC:
     # -- structure --------------------------------------------------------
 
     def conjugate(self):
-        return _canonical(self._a, -self._b, self._d)
+        z = _new(QC)
+        z._a, z._b, z._d = self._a, -self._b, self._d
+        return z
 
     def __bool__(self):
         return self._a != 0 or self._b != 0
@@ -214,8 +257,12 @@ def scal_is_zero(z, tol=0.0):
 
 def coerce(z):
     """Normalize a scalar to QC when exact, complex otherwise."""
-    if isinstance(z, QC):
+    if type(z) is QC:
         return z
+    if type(z) is int:
+        q = _new(QC)
+        q._a, q._b, q._d = z, 0, 1
+        return q
     if isinstance(z, _EXACT):
         return QC(z)
     return complex(z)

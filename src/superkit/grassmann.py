@@ -35,9 +35,12 @@ difference, so exact and float data that round equal compare equal.
 second-order operators on W contract with ``conventions.EPS_LOWER`` and
 ``superfourier``'s D^2 with ``EPS_UPPER``, each read on every call.
 
-``EndoW``, the dense 16x16 operator, holds ``QC`` entries only.  A float
-operator on W is a plain ``complex128`` array built where floats enter, so
-this module does not import numpy.
+``EndoW``, the dense 16x16 operator, holds ``QC`` entries only.  Its public
+constructor coerces and type-checks every entry; the matrices the package
+computes (``from_action``, which tests only the stored images, ``@`` and
+``+``) go through the trusted ``EndoW._of``.  A float operator on W is a
+plain ``complex128`` array built where floats enter, so this module does not
+import numpy.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ DIM = 16
 MONOMIALS = tuple(range(DIM))
 _ZERO = QC(0)
 _MINUS_HALF = QC(Fraction(-1, 2))
+_FLOAT_ENTRIES = "EndoW entries must be exact; a float operator is an array"
 
 
 def plus_set(mask):
@@ -259,6 +263,9 @@ class Multivector(SparseSum):
         return "Multivector(" + " + ".join(parts) + ")"
 
 
+BASIS = tuple(Multivector.basis(m) for m in MONOMIALS)
+
+
 class PairingMatrix:
     """2x2 matrix b[a][b] pairing tau^a with taubar^b."""
 
@@ -338,13 +345,23 @@ class EndoW:
     def __init__(self, mat):
         rows = [[coerce(x) for x in row] for row in mat]
         if not all(type(x) is QC for row in rows for x in row):
-            raise TypeError("EndoW entries must be exact; a float operator is an array")
+            raise TypeError(_FLOAT_ENTRIES)
         self.mat = rows
 
     @classmethod
+    def _of(cls, rows):
+        """An EndoW of QC rows the package computed: no coercion, no scan."""
+        obj = object.__new__(cls)
+        obj.mat = rows
+        return obj
+
+    @classmethod
     def from_action(cls, fn):
-        cols = [fn(Multivector.basis(m)).to_vector() for m in MONOMIALS]
-        return cls([[cols[c][r] for c in MONOMIALS] for r in MONOMIALS])
+        cols = [fn(b).coeffs for b in BASIS]
+        # only the stored (nonzero) images need a type test: the rest are _ZERO
+        if not all(type(x) is QC for col in cols for x in col.values()):
+            raise TypeError(_FLOAT_ENTRIES)
+        return cls._of([[col.get(r, _ZERO) for col in cols] for r in MONOMIALS])
 
     def __call__(self, mv):
         out = {}
@@ -356,11 +373,11 @@ class EndoW:
         return Multivector(out)
 
     def __matmul__(self, other):
-        return EndoW(linalg.mat_mul(self.mat, other.mat))
+        return EndoW._of(linalg.mat_mul(self.mat, other.mat))
 
     def __add__(self, other):
-        return EndoW([[a + b for a, b in zip(ra, rb)]
-                      for ra, rb in zip(self.mat, other.mat)])
+        return EndoW._of([[a + b for a, b in zip(ra, rb)]
+                          for ra, rb in zip(self.mat, other.mat)])
 
     def __sub__(self, other):
         return self + (-1) * other

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import conventions
-from .exactnum import as_complex, coerce, conj, is_exact
+from .exactnum import QC, as_complex, conj, is_exact
 from .grassmann import EndoW, PairingMatrix
 
 
@@ -35,12 +35,40 @@ def minkowski_norm2(p):
 
 
 def pair_covector(p, vec):
-    """Contract momentum with a complexified-covector table entry, skipping
-    its zero components (every pairing-table covector has two)."""
-    s = coerce(0)
+    """Contract momentum p with a complexified-covector table entry of QC
+    components, skipping its zero components (every pairing-table covector
+    has two).
+
+    An exact momentum (int and Fraction components) is paired in integers
+    over one common denominator and gives one canonical QC; any other
+    momentum is paired in python complex, term by term in component order.
+    """
+    a = b = 0
+    d = 1
+    for pm, c in zip(p, vec):
+        if not c:
+            continue
+        t = type(pm)
+        if t is int:
+            n, m = pm, 1
+        elif t is Fraction:
+            n, m = pm.numerator, pm.denominator
+        else:
+            return _pair_complex(p, vec)
+        # (a + b i)/d + (c_a + c_b i) n / (c_d m), over the product denominator
+        f = c._d * m
+        if f == d:
+            a, b = a + c._a * n, b + c._b * n
+        else:
+            a, b, d = a * f + c._a * n * d, b * f + c._b * n * d, d * f
+    return QC._of(a, b, d)
+
+
+def _pair_complex(p, vec):
+    s = 0j
     for pm, c in zip(p, vec):
         if c:
-            s = s + c * pm
+            s = s + complex(c) * pm
     return s
 
 

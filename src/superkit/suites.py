@@ -23,7 +23,7 @@ from . import repdecomp as rep
 from . import superfourier as sft
 from . import symbols as sym
 from .exactnum import QC, coerce
-from .grassmann import (MONOMIALS, Multivector, PairingMatrix, build_d, build_d2,
+from .grassmann import (BASIS, MONOMIALS, Multivector, PairingMatrix, build_d, build_d2,
                         build_d2_factorized, build_dbar, build_dbar2,
                         build_dbar2_factorized, build_qbar, chiral_kernel_nullspace,
                         d2_action, d_action, dbar_action, ext_minus, int_plus, mono_key,
@@ -63,7 +63,10 @@ def rand_rational(rng, span=5, den=4):
 
 
 def rand_qc(rng):
-    return QC(rand_rational(rng), rand_rational(rng))
+    """QC(rand_rational(rng), rand_rational(rng)), from the same four draws."""
+    a, d = rng.randint(-5, 5), rng.randint(1, 4)
+    b, e = rng.randint(-5, 5), rng.randint(1, 4)
+    return QC._of(a * e, b * d, d * e)
 
 
 def rand_pairing(rng):
@@ -112,18 +115,17 @@ def rand_superfunction(rng, nterms=1):
 
 
 def rand_even(rng, alg):
-    out = alg.scalar(rng.randint(-3, 3))
+    """A scalar plus integer multiples of each gen(i) * gen(j), i < j (the
+    product is +1 at mask 2^i + 2^j: no Koszul crossing)."""
+    coeffs = {0: rng.randint(-3, 3)}
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
-            out = out + rng.randint(-2, 2) * (alg.gen(i) * alg.gen(j))
-    return out
+            coeffs[1 << i | 1 << j] = rng.randint(-2, 2)
+    return alg.element(coeffs)
 
 
 def rand_odd(rng, alg):
-    out = alg.element({})
-    for i in range(alg.n):
-        out = out + rng.randint(-2, 2) * alg.gen(i)
-    return out
+    return alg.element({1 << i: rng.randint(-2, 2) for i in range(alg.n)})
 
 
 def rand_superpoint(rng, alg):
@@ -134,13 +136,10 @@ def rand_superpoint(rng, alg):
 
 # -- algebra on W -------------------------------------------------------------------
 
-_BASIS = tuple(Multivector.basis(m) for m in MONOMIALS)
-
-
 def _with_images(op):
     """(op, its images of the 16 basis monomials), so a check that pairs op
     with several others applies it to each basis vector once."""
-    return op, [op(e) for e in _BASIS]
+    return op, [op(e) for e in BASIS]
 
 
 def _anticommutes_to(f, g, scale=None):

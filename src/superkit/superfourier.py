@@ -116,9 +116,6 @@ class PlaneWaveFn(SparseSum):
         from .spin_geometry import minkowski_norm2
         return PlaneWaveFn._of({q: a * (-minkowski_norm2(q)) for q, a in self.terms.items()})
 
-    def momenta(self):
-        return set(self.terms)
-
     def to_json(self):
         out = []
         for q, a in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
@@ -194,16 +191,13 @@ class SuperFunction(SparseSum):
         if self.side != side:
             raise SideMismatch(f"expected a {side}-side superfunction")
 
-    def at_momentum(self, q):
-        """Multivector of coefficients at one momentum key."""
-        q = MomentumKey(q)
-        return Multivector._of({m: g.terms[q] for m, g in self.comps.items() if q in g.terms})
-
-    def all_momenta(self):
-        out = set()
-        for g in self.comps.values():
-            out |= g.momenta()
-        return out
+    def by_momentum(self):
+        """The transpose: momentum key -> Multivector of the coefficients at it."""
+        out = {}
+        for m, g in self.comps.items():
+            for q, c in g.terms.items():
+                out.setdefault(q, {})[m] = c
+        return {q: Multivector._of(t) for q, t in out.items()}
 
     def to_json(self):
         return {"side": self.side,
@@ -403,8 +397,8 @@ def apply_zeta_momentum(zeta_fn, fhat):
     """Apply a momentum-dependent symbol p -> EndoW at each momentum key."""
     fhat.require_side("momentum")
     out = {}
-    for q in fhat.all_momenta():
-        for m, c in zeta_fn(q)(fhat.at_momentum(q)).coeffs.items():
+    for q, mv in fhat.by_momentum().items():
+        for m, c in zeta_fn(q)(mv).coeffs.items():
             out.setdefault(m, {})[q] = c     # a Multivector's coefficient: never zero
     return fhat._like({m: PlaneWaveFn._of(t) for m, t in out.items()}, nonzero=True)
 
@@ -457,11 +451,6 @@ class AuxGrassmann:
 
     def scalar(self, c):
         return GrassElt(self, {0: c})
-
-    def gen(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError("generator index out of range")
-        return GrassElt(self, {1 << i: 1})
 
 
 class GrassElt(SparseSum):
@@ -551,16 +540,18 @@ def group_law(u, v):
     (y + y' + i Gamma^mu_{ab} (xi^a xibar'^b - xi'^a xibar^b), xi+xi',
     xibar+xibar').
     """
+    # each bilinear xi^a xibar'^b - xi'^a xibar^b once, for all four mu
+    bilinear = {(a, b): u.xi[a] * v.xibar[b] - v.xi[a] * u.xibar[b]
+                for a in (0, 1) for b in (0, 1)}
     y = []
     for mu in range(4):
         shift = None
-        for a in (1, 2):
-            for b in (1, 2):
-                g = QC(0, 1) * conventions.GAMMA_LOWER[a - 1][b - 1][mu]
-                if scal_is_zero(g):
-                    continue
-                term = (u.xi[a - 1] * v.xibar[b - 1] - v.xi[a - 1] * u.xibar[b - 1]) * g
-                shift = term if shift is None else shift + term
+        for (a, b), bl in bilinear.items():
+            g = QC(0, 1) * conventions.GAMMA_LOWER[a][b][mu]
+            if scal_is_zero(g):
+                continue
+            term = bl * g
+            shift = term if shift is None else shift + term
         tot = u.y[mu] + v.y[mu]
         if shift is not None:
             tot = tot + shift

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from superkit import components as cmp
-from superkit.exactnum import as_complex
+from superkit.exactnum import as_complex, coerce
 from superkit.grassmann import MONOMIALS, Multivector, chiral_kernel, mono_mask
 from superkit.spin_geometry import gamma_pair, m2_dagger
 from superkit.suites import rand_momentum, rand_qc
@@ -72,6 +72,21 @@ def dense_matrix(act):
 def apply_matrix(mat, mv):
     """A 16x16 complex128 operator on W applied to a Multivector."""
     return Multivector.from_vector(mat @ np.array([complex(x) for x in mv.to_vector()]))
+
+
+def aux_gen(alg, i):
+    """The i-th generator of an auxiliary Grassmann algebra."""
+    return alg.element({1 << i: 1})
+
+
+def pair_covector_reference(p, vec):
+    """The term-by-term QC sum that spin_geometry.pair_covector replaced: a
+    float component degrades the running sum to python complex."""
+    s = coerce(0)
+    for pm, c in zip(p, vec):
+        if c:
+            s = s + c * pm
+    return s
 
 
 def m2_mul(a, b):

@@ -226,8 +226,8 @@ def test_solution_generator_boost_equivariance(rng):
         f = chiral_expand(sol)
         rho = spin_action_endo(h)
         out = {}
-        for q in f.all_momenta():
-            mv = apply_matrix(rho, f.at_momentum(q))
+        for q, mv in f.by_momentum().items():
+            mv = apply_matrix(rho, mv)
             hq = act_on_momentum(h, q)
             for mask, coeff in mv.coeffs.items():
                 out.setdefault(mask, {})[hq] = coeff

@@ -10,6 +10,7 @@ the absolute tolerance written there (for ``detail``, each number in it).
 """
 
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -20,7 +21,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from regenerate import MATRIX, run  # noqa: E402
 
+from conftest import aux_gen  # noqa: E402
+
 from superkit.cli import build_parser  # noqa: E402
+from superkit.exactnum import QC  # noqa: E402
+from superkit.suites import rand_even, rand_odd, rand_qc, rand_rational  # noqa: E402
+from superkit.superfourier import AuxGrassmann  # noqa: E402
 
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
@@ -67,3 +73,40 @@ def test_every_command_has_a_golden_case():
     [sub] = [a for a in build_parser()._actions if a.dest == "command"]
     covered = {argv[0] for argv, _ in MATRIX.values()}
     assert set(sub.choices) - covered == set()
+
+
+# -- the identities_seed* cases keep testing the same data --------------------------------
+
+def _rand_qc_reference(rng):
+    return QC(rand_rational(rng), rand_rational(rng))
+
+
+def _rand_even_reference(rng, alg):
+    out = alg.scalar(rng.randint(-3, 3))
+    for i in range(alg.n):
+        for j in range(i + 1, alg.n):
+            out = out + rng.randint(-2, 2) * (aux_gen(alg, i) * aux_gen(alg, j))
+    return out
+
+
+def _rand_odd_reference(rng, alg):
+    out = alg.element({})
+    for i in range(alg.n):
+        out = out + rng.randint(-2, 2) * aux_gen(alg, i)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_data_matches_the_fraction_and_product_constructions(seed):
+    """rand_qc, rand_even and rand_odd give the values of the Fraction and
+    GrassElt-product constructions they replaced and consume the same draws."""
+    alg = AuxGrassmann(4)
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        x, y = rand_qc(got), _rand_qc_reference(want)
+        assert type(x) is QC and (x._a, x._b, x._d) == (y._a, y._b, y._d)
+        for fast, ref in ((rand_even, _rand_even_reference), (rand_odd, _rand_odd_reference)):
+            x, y = fast(got, alg), ref(want, alg)
+            assert list(x.coeffs.items()) == list(y.coeffs.items())
+            assert all(type(c) is QC for c in x.coeffs.values())
+        assert got.getstate() == want.getstate()

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import act_on_momentum, dense_matrix, m2_mul, rand_momentum, rand_sl2
+from conftest import (act_on_momentum, dense_matrix, m2_mul, pair_covector_reference,
+                      rand_momentum, rand_sl2)
 
+from superkit import conventions
 from superkit.exactnum import QC, as_complex, coerce
 from superkit.grassmann import (EndoW, Multivector, PairingMatrix, ext_minus, int_plus,
                                 koszul_sign, mono_mask)
 from superkit.spin_geometry import (NonPositiveEnergy, OffOrbit, SpinElement,
                                     classify_orbit, gamma_lower, gamma_pair, m2_dagger,
-                                    minkowski_norm2, rest_boost, spin_action_endo)
+                                    minkowski_norm2, pair_covector, rest_boost,
+                                    spin_action_endo)
 
 
 def test_minkowski_norm_examples():
@@ -202,3 +205,32 @@ def test_det_pairing_float_mode(rng):
         d = as_complex(gamma_pair(p).det())
         assert abs(d - minkowski_norm2(p)) <= 1e-12 * max(1.0, abs(d))
         assert abs(d.imag) <= 1e-12
+
+
+# -- the integer pairing against the term-by-term QC sum -------------------------------
+
+# every entry of both tables, plus patched entries whose non-unit, non-integer
+# components have denominators of their own (so dropping one shows)
+_COVECTORS = [*(vec for table in (conventions.GAMMA_TABLE, conventions.GAMMA_LOWER)
+                for row in table for vec in row),
+              (QC(Fraction(3, 7), Fraction(-5, 2)), QC(0), QC(Fraction(2, 9)),
+               QC(0, Fraction(-1, 6))),
+              (QC(Fraction(-4, 5)), QC(Fraction(7, 3), 2), QC(0, Fraction(5, 8)), QC(0))]
+_exact_components = st.one_of(
+    st.integers(-2 ** 40, 2 ** 40),
+    st.fractions(min_value=-2 ** 32, max_value=2 ** 32, max_denominator=2 ** 32))
+_float_components = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(st.tuples(*[_exact_components] * 4))
+def test_pair_covector_matches_the_qc_sum_on_exact_momenta(p):
+    for vec in _COVECTORS:
+        got, want = pair_covector(p, vec), pair_covector_reference(p, vec)
+        assert type(got) is QC and (got._a, got._b, got._d) == (want._a, want._b, want._d)
+
+
+@given(st.tuples(*[_float_components] * 4))
+def test_pair_covector_matches_the_qc_sum_on_float_momenta(p):
+    for vec in _COVECTORS:
+        got, want = pair_covector(p, vec), pair_covector_reference(p, vec)
+        assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag)

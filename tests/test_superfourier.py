@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rand_momentum, rand_qc, rand_superfunction
+from conftest import aux_gen, rand_momentum, rand_qc, rand_superfunction
 
 from superkit import suites
 from superkit.conventions import GAMMA_LOWER
@@ -73,8 +73,9 @@ def test_plain_tuple_lookups_hit_the_same_terms(q, sign):
     plain = q if sign > 0 else tuple(-x for x in q)
     assert pw.terms[plain] == a == QC(1, 2)
     f = SuperFunction({TOP: pw})
-    assert f.at_momentum(plain) == f.at_momentum(key) == f.at_momentum(list(plain))
-    assert f.at_momentum(plain) == Multivector({TOP: QC(1, 2)})
+    by_q = f.by_momentum()
+    assert by_q[plain] is by_q[key] and list(by_q) == [key]
+    assert by_q[plain] == Multivector({TOP: QC(1, 2)})
 
 
 def test_planewave_keeps_existing_keys():
@@ -273,7 +274,7 @@ def test_d2_on_constant_superfunction_vs_rest_contraction():
 
 def test_grasselt_algebra():
     alg = AuxGrassmann(4)
-    g0, g1 = alg.gen(0), alg.gen(1)
+    g0, g1 = aux_gen(alg, 0), aux_gen(alg, 1)
     assert g0 * g1 == -1 * (g1 * g0)
     assert (g0 * g0).is_zero()
     x = alg.scalar(2) + 3 * (g0 * g1)
@@ -301,8 +302,8 @@ def test_group_law_noncommutativity_shift():
     odd coordinates: the group is noncommutative."""
     alg = AuxGrassmann(4)
     z2 = [alg.element({})] * 2
-    u = SuperPoint([alg.scalar(0)] * 4, [alg.gen(0), alg.element({})], z2)
-    v = SuperPoint([alg.scalar(0)] * 4, z2, [alg.gen(1), alg.element({})])
+    u = SuperPoint([alg.scalar(0)] * 4, [aux_gen(alg, 0), alg.element({})], z2)
+    v = SuperPoint([alg.scalar(0)] * 4, z2, [aux_gen(alg, 1), alg.element({})])
     uv, vu = group_law(u, v), group_law(v, u)
     assert uv != vu
     diff = uv.y[0] - vu.y[0]
@@ -312,7 +313,7 @@ def test_group_law_noncommutativity_shift():
 def test_superpoint_grade_check():
     alg = AuxGrassmann(2)
     with pytest.raises(GradeMismatch):
-        SuperPoint([alg.gen(0)] * 4, [alg.element({})] * 2, [alg.element({})] * 2)
+        SuperPoint([aux_gen(alg, 0)] * 4, [alg.element({})] * 2, [alg.element({})] * 2)
     with pytest.raises(GradeMismatch):
         SuperPoint([alg.scalar(1)] * 4, [alg.scalar(1), alg.element({})],
                    [alg.element({})] * 2)
@@ -409,4 +410,4 @@ def test_sparse_sums_compare_by_difference():
     assert alg.element({1: third}) == alg.element({1: 1 / 3})
     assert single_wave(3, third, q) == single_wave(3, 1 / 3, q)
     assert single_wave(3, third, q) != single_wave(3, third, q, side="momentum")
-    assert alg.scalar(2) == 2 and alg.element({}) == 0 and alg.gen(0) != 0
+    assert alg.scalar(2) == 2 and alg.element({}) == 0 and aux_gen(alg, 0) != 0

@@ -27,4 +27,4 @@ def test_traced_exact_pipeline_unit_counts_width_and_qc_ops():
         tracer.uninstall()
     assert code == 0
     assert tracer.counters["superfourier.width_n"] > 0
-    assert tracer.qc_ops() == 713
+    assert tracer.qc_ops() == 489
